@@ -3,52 +3,27 @@ tractable Gaussian mixtures: schedules, probability-flow consistency maps,
 samplers, distances, training objectives, and a scaling-law harness.
 """
 
-from .distributions import (DegenerateDensityError, MixtureParams,
-                            SampleBatch, hessian_bound_bounded_support,
-                            lipschitz_bound, log_density, marginal_at,
-                            sample, score, score_hessian,
-                            score_hessian_norm, second_moment)
-from .flows import (StepUnderflowError, VectorField, consistency_empirical,
-                    consistency_exact, exact_field, empirical_field,
-                    exp_integrator_step, integrate_reference)
-from .harness import (ConfigError, ExperimentConfig, FitResult, emit,
-                      fit_loglog, run_experiment)
-from .metrics import (MetricReport, moment_report, tv_1d, tv_gaussian_1d,
-                      w2_1d_exact, w2_gaussian, w2_gaussian_fit, w2_sliced)
-from .models import (ConsistencyModel, ScoreModel, discretized_cm,
-                     empirical_cm, estimate_lipschitz, exact_cm,
-                     exact_score_model, measure_cm_error,
-                     measure_score_error, perturb_cm, perturb_score,
-                     recover_score)
-from .objectives import GradGapPoint, ParametricCM, cd_loss, ct_loss, grad_gap
-from .rng import derive_rng, derive_seed_sequence
-from .samplers import (MultistepSchedule, fixed_time_schedule, multistep,
-                       one_step, ou_smooth, ulmc_run)
-from .schedule import (GridRangeError, TimeGrid, build_grid,
-                       expected_point_count, grid_diagnostics, uniform_grid,
-                       validate_grid)
-from .acceptance import CriterionResult, run_all, run_criterion
+from .distributions import MixtureParams, marginal_at
+from .harness import (ConfigError, ExperimentConfig, emit, eps_sweep_one_step,
+                      fit_loglog, gradcheck_experiment, h_sweep_one_step,
+                      multistep_contraction, render_csv, render_json,
+                      run_experiment, stationary_suite,
+                      ulmc_correction_closed_form, ulmc_correction_experiment)
+from .metrics import w2_gaussian_fit
+from .models import discretized_cm, exact_score_model
+from .samplers import one_step
+from .schedule import GridRangeError, build_grid
+from .acceptance import DEFAULT_SEED, run_all
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CriterionResult", "ConfigError", "ConsistencyModel",
-    "DegenerateDensityError", "ExperimentConfig", "FitResult",
-    "GradGapPoint", "GridRangeError", "MetricReport", "MixtureParams",
-    "MultistepSchedule", "ParametricCM", "SampleBatch", "ScoreModel",
-    "StepUnderflowError", "TimeGrid", "VectorField", "build_grid",
-    "cd_loss", "consistency_empirical", "consistency_exact", "ct_loss",
-    "derive_rng", "derive_seed_sequence", "discretized_cm", "emit",
-    "empirical_cm", "empirical_field", "estimate_lipschitz", "exact_cm",
-    "exact_field", "exact_score_model", "exp_integrator_step",
-    "expected_point_count", "fit_loglog", "fixed_time_schedule",
-    "grad_gap", "grid_diagnostics", "hessian_bound_bounded_support",
-    "integrate_reference", "lipschitz_bound", "log_density", "marginal_at",
-    "measure_cm_error", "measure_score_error", "moment_report",
-    "multistep", "one_step", "ou_smooth", "perturb_cm", "perturb_score",
-    "recover_score", "run_all", "run_criterion", "run_experiment",
-    "sample", "score", "score_hessian", "score_hessian_norm",
-    "second_moment", "tv_1d", "tv_gaussian_1d", "ulmc_run", "uniform_grid",
-    "validate_grid", "w2_1d_exact", "w2_gaussian", "w2_gaussian_fit",
-    "w2_sliced",
+    "ConfigError", "DEFAULT_SEED", "ExperimentConfig", "GridRangeError",
+    "MixtureParams", "build_grid", "discretized_cm", "emit",
+    "eps_sweep_one_step", "exact_score_model", "fit_loglog",
+    "gradcheck_experiment", "h_sweep_one_step", "marginal_at",
+    "multistep_contraction", "one_step", "render_csv", "render_json",
+    "run_all", "run_experiment", "stationary_suite",
+    "ulmc_correction_closed_form", "ulmc_correction_experiment",
+    "w2_gaussian_fit",
 ]

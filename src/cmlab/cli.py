@@ -1,28 +1,22 @@
 """Command-line entry point.
 
-Subcommands: grid (print a schedule), sample (run a sampler, emit CSV),
-sweep (run a JSON experiment config), verify (run the acceptance suite),
-gradcheck (CT/CD gradient-gap table).  Exit codes: 0 success, 1 validation
-error, 2 acceptance failure.
+Subcommands: grid (print a schedule), sample (run a sampler, emit its
+points), sweep (run a JSON experiment config), verify (run the acceptance
+suite), gradcheck (CT/CD gradient-gap table).  grid, sample, sweep and
+gradcheck all run through the harness's config loader and dispatcher;
+for every one but sweep the subcommand names the experiment kind.  Exit
+codes: 0 success, 1 validation error, 2 acceptance failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-import numpy as np
-
 from .acceptance import DEFAULT_SEED, run_all
-from .distributions import MixtureParams
-from .harness import (ConfigError, ExperimentConfig, emit,
-                      gradcheck_experiment, render_csv, render_json,
-                      run_experiment)
-from .models import discretized_cm, exact_cm, exact_score_model
-from .samplers import (MultistepSchedule, multistep, one_step, ou_smooth,
-                       ulmc_run)
-from .schedule import GridRangeError, build_grid, uniform_grid
+from .harness import (ConfigError, ExperimentConfig, emit, render_csv,
+                      render_json, run_experiment)
+from .schedule import GridRangeError
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -30,16 +24,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, metavar="U64")
     p.add_argument("--out", metavar="DIR", help="output directory")
     p.add_argument("--format", choices=("csv", "json"), default="json")
-
-
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
-    return raw
 
 
 def _emit_or_print(report: dict, args, stem: str) -> None:
@@ -52,67 +36,28 @@ def _emit_or_print(report: dict, args, stem: str) -> None:
         sys.stdout.write(text)
 
 
-def cmd_grid(args) -> int:
-    cfg = _load_config(args.config)
-    delta = cfg.get("delta", 0.01)
-    h = cfg.get("h", 0.1)
-    T = cfg.get("T", 1.0)
-    grid = build_grid(delta, h, T) if delta < h / 2 else uniform_grid(delta, h, T)
-    report = {"kind": "grid", "result": json.loads(grid.to_json())}
-    report["result"]["rows"] = [{"index": i, "t": t}
-                                for i, t in enumerate(grid.points.tolist())]
-    _emit_or_print(report, args, "grid")
-    return 0
-
-
-def cmd_sample(args) -> int:
-    cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    n = cfg.get("n", 1000)
-    delta = cfg.get("delta", 0.01)
-    T = cfg.get("T", 2.0)
-    kind = cfg.get("sampler", "one-step")
-    dist = MixtureParams.from_json(json.dumps(cfg["distribution"])) \
-        if "distribution" in cfg \
-        else MixtureParams.gaussian(np.zeros(2), 4.0 * np.ones(2))
-    score_model = exact_score_model(dist)
-    if "h" in cfg:
-        grid_h = cfg["h"]
-        grid = build_grid(delta, grid_h, T) if delta < grid_h / 2 \
-            else uniform_grid(delta, grid_h, T)
-        cm = discretized_cm(score_model, grid)
-    else:
-        cm = exact_cm(dist, delta)
-
-    if kind == "one-step":
-        batch = one_step(cm, T, n, seed)
-    elif kind == "multistep":
-        times = cfg.get("times", [T, 1.0, 1.0, 1.0])
-        sched = MultistepSchedule(times=np.asarray(times, float), delta=delta)
-        batch = multistep(cm, sched, n, seed)[-1]
-    elif kind == "one-step+ou":
-        batch = ou_smooth(one_step(cm, T, n, seed), cfg.get("tau", 0.05), seed)
-    elif kind == "one-step+ulmc":
-        batch = ulmc_run(score_model, one_step(cm, T, n, seed),
-                         cfg.get("gamma", 1.0), cfg.get("tau", 0.01),
-                         cfg.get("n_steps", 100), seed)
-    else:
-        raise ConfigError(f"unknown sampler kind {kind!r}")
-
-    rows = [{f"x{j}": float(v) for j, v in enumerate(pt)}
-            for pt in batch.points]
-    report = {"kind": "sample", "sampler": kind, "seed": int(seed),
-              "result": {"rows": rows}}
-    _emit_or_print(report, args, "sample")
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    if not args.config:
+def cmd_run(args) -> int:
+    """grid, sample, sweep and gradcheck: load the config, run it through
+    the dispatcher and emit the report."""
+    kind = None if args.command == "sweep" else args.command
+    if args.config:
+        cfg = ExperimentConfig.from_file(args.config, kind)
+    elif kind is None:
         raise ConfigError("sweep requires --config PATH")
-    cfg = ExperimentConfig.from_file(args.config)
+    else:
+        cfg = ExperimentConfig(kind)
     report = run_experiment(cfg, seed=args.seed)
-    _emit_or_print(report, args, "sweep")
+    if kind != "gradcheck":
+        _emit_or_print(report, args, args.command)
+        return 0
+    res = report["result"]
+    for r in res["rows"]:
+        print(f"dt={r['dt']:<8g} gap={r['gap']:.6e} "
+              f"std_err={r['std_err']:.2e}")
+    print(f"fitted slope: {res['fit']['slope']:.4f} "
+          f"(r^2 = {res['fit']['r_squared']:.4f})")
+    if args.out:
+        emit(report, args.out, args.format, stem="gradcheck")
     return 0
 
 
@@ -128,34 +73,16 @@ def cmd_verify(args) -> int:
     return 0 if report["all_passed"] else 2
 
 
-def cmd_gradcheck(args) -> int:
-    cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    res = gradcheck_experiment(dt_list=cfg.get("dt_list", (0.2, 0.1, 0.05)),
-                               n_mc=cfg.get("n_mc", 100_000), seed=seed)
-    for r in res["rows"]:
-        print(f"dt={r['dt']:<8g} gap={r['gap']:.6e} "
-              f"std_err={r['std_err']:.2e}")
-    print(f"fitted slope: {res['fit']['slope']:.4f} "
-          f"(r^2 = {res['fit']['r_squared']:.4f})")
-    if args.out:
-        emit({"kind": "gradcheck", "seed": int(seed), "result": res},
-             args.out, args.format, stem="gradcheck")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cmlab",
         description="Consistency-model numerical laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in [("grid", cmd_grid), ("sample", cmd_sample),
-                     ("sweep", cmd_sweep), ("verify", cmd_verify),
-                     ("gradcheck", cmd_gradcheck)]:
+    for name in ("grid", "sample", "sweep", "verify", "gradcheck"):
         p = sub.add_parser(name)
         _add_common(p)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_verify if name == "verify" else cmd_run)
     return parser
 
 
@@ -164,7 +91,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ConfigError, GridRangeError, ValueError, OSError,
-            json.JSONDecodeError, KeyError) as exc:
+            KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,7 +4,7 @@ Data distributions are mixtures of axis-aligned Gaussians (zero variance
 entries allowed, so point masses and other bounded-support laws are
 covered).  For this family everything the sampling theory consumes is
 available in closed form: the noised marginal at any time, the score field,
-its Hessian, second moments and support radius.
+its Hessian and the support radius.
 
 Conventions: the forward process is the standard OU process
 dx = -x dt + sqrt(2) dW, whose marginal at time t of a component
@@ -281,41 +281,6 @@ def score_hessian_norm(dist: MixtureParams, t: float, x) -> float:
     """Operator norm (largest |eigenvalue|) of the exact score Hessian."""
     h = score_hessian(dist, t, x)
     return float(np.max(np.abs(np.linalg.eigvalsh(h))))
-
-
-def second_moment(dist: MixtureParams) -> float:
-    """m_2^2 = sum_i w_i (||mu_i||^2 + sum_j s_ij^2)."""
-    per_comp = np.sum(dist.means**2, axis=1) + np.sum(dist.variances, axis=1)
-    return float(dist.weights @ per_comp)
-
-
-def _box_lattice(dim: int, half_width: float, budget: int) -> np.ndarray:
-    """Deterministic lattice over [-w, w]^d with at most ~budget points."""
-    per_axis = max(3, int(np.floor(budget ** (1.0 / dim))))
-    axes = [np.linspace(-half_width, half_width, per_axis)] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def lipschitz_bound(dist: MixtureParams, t_lo: float, t_hi: float,
-                    n_grid: int = 8, n_mc: int = 200, seed: int = 0) -> float:
-    """Estimate of the score Lipschitz constant L_s over [t_lo, t_hi].
-
-    Maximises the Hessian operator norm over a geometric time grid and, per
-    time, over both p_t-distributed points and a deterministic lattice in a
-    box of half-width 3 * max(m_2, sqrt(d)).  Floored at 1.
-    """
-    if not (0 < t_lo <= t_hi):
-        raise ValueError("need 0 < t_lo <= t_hi")
-    times = np.geomspace(t_lo, t_hi, n_grid)
-    half_width = 3.0 * max(np.sqrt(second_moment(dist)), np.sqrt(dist.dim))
-    lattice = _box_lattice(dist.dim, half_width, n_mc)
-    best = 1.0
-    for j, t in enumerate(times):
-        mc = sample(marginal_at(dist, t), n_mc, seed, time_tag=t).points
-        for x in np.concatenate([mc, lattice], axis=0):
-            best = max(best, score_hessian_norm(dist, t, x))
-    return best
 
 
 def hessian_bound_bounded_support(radius: float, t: float) -> float:

@@ -1,65 +1,35 @@
 """Probability-flow ODE machinery.
 
 The backward PF ODE for the OU forward process is
-dx/dt = -x - grad log p_t(x).  This module provides the exact and
-empirical vector fields, the one-step exponential integrator (linear part
-integrated exactly, score frozen at the upper time), a high-accuracy
-adaptive reference integrator used as the oracle for consistency maps, and
-the exact/empirical consistency maps themselves.
+dx/dt = -x - grad log p_t(x).  This module provides the field of that ODE
+for any score callable s(x, t) (the exact mixture score or a model of
+it), the one-step exponential integrator (linear part integrated exactly,
+score frozen at the upper time), a high-accuracy adaptive reference
+integrator used as the oracle for consistency maps, and the consistency
+map itself: the reference-integrated flow of a score's PF ODE.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .distributions import MixtureParams, score
-
 DEFAULT_TOL = 1e-10
 _MIN_STEP = 1e-12
 
+Field = Callable[[np.ndarray, float], np.ndarray]
+
 
 class StepUnderflowError(RuntimeError):
-    """Reference integration needed a step below 1e-12."""
+    """Reference integration stopped before reaching its end time, e.g.
+    because the solution blew up and the step size collapsed."""
 
 
-@dataclass(frozen=True)
-class VectorField:
-    """Deterministic evaluator (x, t) -> dx/dt for batches x of shape (n, d)."""
-
-    fn: Callable[[np.ndarray, float], np.ndarray]
-    kind: str
-    dim: int
-
-    def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.fn(x, t)
-
-
-def exact_field(dist: MixtureParams) -> VectorField:
-    """v(x, t) = -x - grad log p_t(x) with the exact mixture score."""
-    return VectorField(
-        fn=lambda x, t: -x - score(dist, t, x),
-        kind="exact",
-        dim=dist.dim,
-    )
-
-
-def empirical_field(score_model) -> VectorField:
-    """v(x, t) = -x - s(x, t) for a score model s."""
-    return VectorField(
-        fn=lambda x, t: -x - score_model(x, t),
-        kind="empirical",
-        dim=score_model.dim,
-    )
-
-
-def pf_rhs_exact(dist: MixtureParams, x, t: float) -> np.ndarray:
-    """Right-hand side of the exact backward PF ODE at (x, t)."""
-    x = np.asarray(x, dtype=float)
-    return -x - score(dist, t, x)
+def pf_field(score_fn: Field) -> Field:
+    """v(x, t) = -x - s(x, t) for a score callable s(x, t)."""
+    return lambda x, t: -x - score_fn(x, t)
 
 
 def exp_integrator_step(score_model, x, t_hi: float, t_lo: float) -> np.ndarray:
@@ -72,10 +42,10 @@ def exp_integrator_step(score_model, x, t_hi: float, t_lo: float) -> np.ndarray:
     return growth * x + (growth - 1.0) * score_model(x, t_hi)
 
 
-def integrate_reference(field: VectorField, x, t_from: float, t_to: float,
+def integrate_reference(field: Field, x, t_from: float, t_to: float,
                         tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Solve the ODE backward from t_from to t_to with an embedded adaptive
-    RK 4(5) pair, local error per step controlled to tol.
+    """Solve dx/dt = field(x, t) backward from t_from to t_to with an
+    embedded adaptive RK 4(5) pair, local error per step controlled to tol.
 
     Batches are integrated as one stacked system (the step controller uses
     the joint error norm), which keeps the result deterministic for a fixed
@@ -98,15 +68,15 @@ def integrate_reference(field: VectorField, x, t_from: float, t_to: float,
     if not sol.success:
         raise StepUnderflowError(
             f"reference integration failed on [{t_to}, {t_from}]: "
-            f"{sol.message} (min step {_MIN_STEP})"
-        )
+            f"{sol.message}")
     out = sol.y[:, -1].reshape(shape)
     return out[0] if single else out
 
 
-def consistency_exact(dist: MixtureParams, x, t: float, delta: float,
-                      tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Exact consistency map: the backward PF-ODE flow of x from t to delta.
+def consistency_map(score_fn: Field, x, t: float, delta: float,
+                    tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Consistency map of the PF ODE of a score callable s(x, t): the
+    backward flow of x from t to delta.
 
     Identity at t = delta by construction.
     """
@@ -115,42 +85,4 @@ def consistency_exact(dist: MixtureParams, x, t: float, delta: float,
     x = np.asarray(x, dtype=float)
     if t <= delta * (1 + 1e-14) or t - delta < _MIN_STEP:
         return x.copy()
-    return integrate_reference(exact_field(dist), x, t, delta, tol)
-
-
-def consistency_empirical(score_model, x, t: float, delta: float,
-                          tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Consistency map of the empirical PF ODE defined by a score model."""
-    if t < delta:
-        raise ValueError(f"need t >= delta, got t={t}, delta={delta}")
-    x = np.asarray(x, dtype=float)
-    if t <= delta * (1 + 1e-14) or t - delta < _MIN_STEP:
-        return x.copy()
-    return integrate_reference(empirical_field(score_model), x, t, delta, tol)
-
-
-def _rk4_step(field: VectorField, x: np.ndarray, t: float,
-              dt: float) -> np.ndarray:
-    k1 = field(x, t)
-    k2 = field(x + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = field(x + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = field(x + dt * k3, t + dt)
-    return x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def score_time_derivative_norm(dist: MixtureParams, t: float, n_mc: int,
-                               seed: int, dt: float = 1e-4) -> float:
-    """Monte-Carlo estimate of E ||d/dt grad log p_t(x_t)||^2 along exact
-    PF trajectories, by central differences in t with the sampled point
-    moved along the flow.
-    """
-    if t <= 0:
-        raise ValueError("t must be > 0")
-    from .distributions import marginal_at, sample  # local to avoid cycle noise
-
-    x = sample(marginal_at(dist, t), n_mc, seed, time_tag=t).points
-    field = exact_field(dist)
-    x_plus = _rk4_step(field, x, t, dt)
-    x_minus = _rk4_step(field, x, t, -dt)
-    deriv = (score(dist, t + dt, x_plus) - score(dist, t - dt, x_minus)) / (2 * dt)
-    return float(np.mean(np.sum(deriv**2, axis=1)))
+    return integrate_reference(pf_field(score_fn), x, t, delta, tol)

@@ -320,6 +320,37 @@ def score_recovery_experiment(eps_sc: float = 0.1, delta: float = 0.01,
             "ratio": l2_err / budget if budget > 0 else float("inf")}
 
 
+def sample_experiment(dist: MixtureParams, sampler: str = "one-step",
+                      n: int = 1000, delta: float = 0.01, T: float = 2.0,
+                      h: Optional[float] = None, times=None,
+                      tau: Optional[float] = None, gamma: float = 1.0,
+                      n_steps: int = 100, seed: int = 0) -> dict:
+    """Points drawn by one sampler from the exact consistency map, or from
+    the grid-discretized one when h is given: "one-step", "multistep" on
+    the schedule `times` (default [T, 1, 1, 1]), or one-step followed by
+    OU smoothing ("one-step+ou", tau default 0.05) or by the Langevin
+    corrector ("one-step+ulmc", tau default 0.01)."""
+    score_model = exact_score_model(dist)
+    cm = exact_cm(dist, delta) if h is None \
+        else discretized_cm(score_model, _grid_for(delta, h, T))
+    if sampler == "one-step":
+        batch = one_step(cm, T, n, seed)
+    elif sampler == "multistep":
+        times = [T, 1.0, 1.0, 1.0] if times is None else times
+        sched = MultistepSchedule(times=np.asarray(times, float), delta=delta)
+        batch = multistep(cm, sched, n, seed)[-1]
+    elif sampler == "one-step+ou":
+        batch = ou_smooth(one_step(cm, T, n, seed),
+                          0.05 if tau is None else tau, seed)
+    elif sampler == "one-step+ulmc":
+        batch = ulmc_run(score_model, one_step(cm, T, n, seed), gamma,
+                         0.01 if tau is None else tau, n_steps, seed)
+    else:
+        raise ConfigError(f"unknown sampler kind {sampler!r}")
+    return {"rows": [{f"x{j}": float(v) for j, v in enumerate(pt)}
+                     for pt in batch.points]}
+
+
 def gradcheck_experiment(dt_list=(0.2, 0.1, 0.05), n_mc: int = 100_000,
                          seed: int = 0, dim: int = 1, m: int = 32,
                          delta: float = 0.01, t_base: float = 0.5) -> dict:
@@ -339,13 +370,19 @@ def gradcheck_experiment(dt_list=(0.2, 0.1, 0.05), n_mc: int = 100_000,
 # ---------------------------------------------------------------------------
 
 _KINDS = ("h-sweep", "eps-sc-sweep", "eps-cm-sweep", "multistep",
-          "stationary", "ou-tv", "hessian", "ulmc-correction", "gradcheck")
+          "stationary", "ou-tv", "hessian", "ulmc-correction", "gradcheck",
+          "grid", "sample")
 
 _ALLOWED_KEYS = {
     "kind", "distribution", "delta", "h", "T", "h_list", "floor_h",
     "eps_list", "eps_cm", "n_rounds", "n", "seed", "tau", "gamma",
     "n_steps", "dt_list", "n_mc", "shift", "m_list", "tau_list",
+    "sampler", "times",
 }
+
+
+def _reject_constant(name: str):
+    raise ConfigError(f"config contains {name}, which is not a JSON number")
 
 
 @dataclass(frozen=True)
@@ -356,9 +393,17 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
+    def from_dict(cls, raw: dict,
+                  kind: Optional[str] = None) -> "ExperimentConfig":
+        """kind, when given, is the kind the caller runs: the config may
+        leave out its "kind" key, or must name the same kind."""
         if not isinstance(raw, dict):
             raise ConfigError("config root must be an object")
+        if kind is not None:
+            raw = {"kind": kind, **raw}
+            if raw["kind"] != kind:
+                raise ConfigError(
+                    f"kind: expected {kind!r}, got {raw['kind']!r}")
         unknown = set(raw) - _ALLOWED_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -372,17 +417,19 @@ class ExperimentConfig:
         return cls(kind=kind, params=params)
 
     @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
+    def from_json(cls, text: str,
+                  kind: Optional[str] = None) -> "ExperimentConfig":
         try:
-            raw = json.loads(text)
+            raw = json.loads(text, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(raw, kind)
 
     @classmethod
-    def from_file(cls, path: str) -> "ExperimentConfig":
+    def from_file(cls, path: str,
+                  kind: Optional[str] = None) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+            return cls.from_json(fh.read(), kind)
 
 
 def _dist_from(params: dict) -> MixtureParams:
@@ -427,10 +474,22 @@ def run_experiment(cfg: ExperimentConfig, seed: Optional[int] = None) -> dict:
                 shift=p.get("shift", 0.3), gamma=p.get("gamma", 1.0),
                 tau=p.get("tau", 0.01), n_steps=p.get("n_steps", 100),
                 n=p.get("n", 100_000), seed=root)
-        else:  # gradcheck
+        elif kind == "gradcheck":
             body = gradcheck_experiment(
                 dt_list=p.get("dt_list", (0.2, 0.1, 0.05)),
                 n_mc=p.get("n_mc", 100_000), seed=root)
+        elif kind == "grid":
+            grid = _grid_for(p.get("delta", 0.01), p.get("h", 0.1),
+                             p.get("T", 1.0))
+            body = json.loads(grid.to_json())
+            body["rows"] = [{"index": i, "t": t}
+                            for i, t in enumerate(grid.points.tolist())]
+        else:  # sample
+            body = sample_experiment(
+                _dist_from(p), p.get("sampler", "one-step"),
+                p.get("n", 1000), p.get("delta", 0.01), p.get("T", 2.0),
+                p.get("h"), p.get("times"), p.get("tau"),
+                p.get("gamma", 1.0), p.get("n_steps", 100), root)
     except (GridRangeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise

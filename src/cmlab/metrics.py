@@ -146,23 +146,6 @@ def w2_fit_pair(batch_a, batch_b) -> MetricReport:
                         None)
 
 
-def tv_1d(batch_p, batch_q, n_bins: int = 200) -> MetricReport:
-    """Histogram total-variation estimate on shared equal-width bins."""
-    xp = _as_points(batch_p).reshape(-1)
-    xq = _as_points(batch_q).reshape(-1)
-    lo = min(xp.min(), xq.min())
-    hi = max(xp.max(), xq.max())
-    if hi <= lo:
-        hi = lo + 1.0
-    edges = np.linspace(lo, hi, n_bins + 1)
-    hp, _ = np.histogram(xp, bins=edges)
-    hq, _ = np.histogram(xq, bins=edges)
-    tv = 0.5 * float(np.abs(hp / xp.shape[0] - hq / xq.shape[0]).sum())
-    n = min(xp.shape[0], xq.shape[0])
-    return MetricReport("tv", tv, f"histogram-{n_bins}", n,
-                        float(np.sqrt(n_bins / n)) / 2.0)
-
-
 def tv_gaussian_1d(m1: float, s1: float, m2: float, s2: float) -> MetricReport:
     """Exact TV between N(m1, s1^2) and N(m2, s2^2) by adaptive quadrature
     of |p - q| / 2 split at the density crossing points."""
@@ -196,16 +179,3 @@ def _gaussian_crossings(m1, s1, m2, s2) -> list[float]:
     r = np.sqrt(disc)
     return [(-b - r) / (2 * a), (-b + r) / (2 * a)]
 
-
-def moment_report(batch) -> dict:
-    """Standard unbiased moment summary of a batch: mean vector,
-    per-coordinate variance, and the second moment m2_sq = E||x||^2."""
-    x = _as_points(batch)
-    n = x.shape[0]
-    var = x.var(axis=0, ddof=1) if n > 1 else np.zeros(x.shape[1])
-    return {
-        "mean": x.mean(axis=0).tolist(),
-        "variance": var.tolist(),
-        "m2_sq": float(np.mean(np.sum(x**2, axis=1))),
-        "n_used": int(n),
-    }

@@ -6,9 +6,10 @@ phases drawn once from a seed.  Each coordinate is bounded by 1, so the
 injected L2 error is at most eps_target * sqrt(d) by construction and the
 injection is exactly linear in eps_target.
 
-Consistency models come in four flavours:
-  exact        -- reference-integrated flow of the exact PF ODE
-  empirical    -- reference-integrated flow of the empirical PF ODE
+Consistency models are built three ways:
+  PF flow      -- reference-integrated PF-ODE flow of a score model
+                  (exact_cm applies it to the exact score, empirical_cm
+                  to any score model)
   discretized  -- exponential-integrator solver marched down a TimeGrid
                   (the object whose one-step sampling error scales with h)
   perturbed    -- any of the above plus eps * (t - delta) * g(x, t)
@@ -17,13 +18,12 @@ Consistency models come in four flavours:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .distributions import MixtureParams, marginal_at, sample, score
-from .flows import (DEFAULT_TOL, consistency_empirical, consistency_exact,
-                    exp_integrator_step)
+from .flows import DEFAULT_TOL, consistency_map, exp_integrator_step
 from .rng import derive_rng
 from .schedule import TimeGrid
 
@@ -36,7 +36,6 @@ class ScoreModel:
     dim: int
     kind: str
     provenance: dict = field(default_factory=dict)
-    measured_eps_sc: Optional[float] = None
 
     def __call__(self, x, t: float) -> np.ndarray:
         return self.fn(np.asarray(x, dtype=float), t)
@@ -51,8 +50,6 @@ class ConsistencyModel:
     delta: float
     kind: str
     provenance: dict = field(default_factory=dict)
-    measured_eps_cm: Optional[float] = None
-    measured_Lf: Optional[float] = None
 
     def __call__(self, x, t: float) -> np.ndarray:
         return self.fn(np.asarray(x, dtype=float), t)
@@ -78,7 +75,6 @@ def exact_score_model(dist: MixtureParams) -> ScoreModel:
         dim=dist.dim,
         kind="exact",
         provenance={"kind": "exact"},
-        measured_eps_sc=0.0,
     )
 
 
@@ -99,8 +95,10 @@ def perturb_score(dist: MixtureParams, eps_target: float,
 
 def exact_cm(dist: MixtureParams, delta: float,
              tol: float = DEFAULT_TOL) -> ConsistencyModel:
+    """The PF-ODE flow of the exact score."""
+    score_model = exact_score_model(dist)
     return ConsistencyModel(
-        fn=lambda x, t: consistency_exact(dist, x, t, delta, tol),
+        fn=lambda x, t: consistency_map(score_model, x, t, delta, tol),
         dim=dist.dim,
         delta=delta,
         kind="exact",
@@ -111,7 +109,7 @@ def exact_cm(dist: MixtureParams, delta: float,
 def empirical_cm(score_model: ScoreModel, delta: float,
                  tol: float = DEFAULT_TOL) -> ConsistencyModel:
     return ConsistencyModel(
-        fn=lambda x, t: consistency_empirical(score_model, x, t, delta, tol),
+        fn=lambda x, t: consistency_map(score_model, x, t, delta, tol),
         dim=score_model.dim,
         delta=delta,
         kind="empirical",
@@ -189,7 +187,6 @@ def measure_score_error(model: ScoreModel, dist: MixtureParams,
                    time_tag=t).points
         err = model(x, t) - score(dist, t, x)
         worst = max(worst, float(np.sqrt(np.mean(np.sum(err**2, axis=1)))))
-    model.measured_eps_sc = worst
     return worst
 
 
@@ -212,7 +209,6 @@ def measure_cm_error(cm: ConsistencyModel, score_model: ScoreModel,
         gap = cm(x, t_hi) - cm(xhat, t_lo)
         rms = float(np.sqrt(np.mean(np.sum(gap**2, axis=1))))
         worst = max(worst, rms / (t_hi - t_lo))
-    cm.measured_eps_cm = worst
     return worst
 
 
@@ -232,7 +228,6 @@ def estimate_lipschitz(cm: ConsistencyModel, dist: MixtureParams, t: float,
         fy = cm(x + r * u, t)
         ratios = np.linalg.norm(fy - fx, axis=1) / r
         best = max(best, float(np.max(ratios)))
-    cm.measured_Lf = best
     return best
 
 

@@ -1,11 +1,11 @@
 """Consistency distillation (CD) and consistency training (CT) objectives
-on a linear-in-parameters family, and the finite-difference check that
-their parameter gradients agree to second order in the grid spacing.
+on a linear-in-parameters family, and the check that their parameter
+gradients agree to second order in the grid spacing.
 
 The parametric map is f_theta(x, t) = x + (t - delta) * Phi(x, t) theta^T
 with m fixed random sinusoidal features Phi.  The boundary condition
 f_theta(x, delta) = x holds for every theta, and linearity in theta makes
-finite-difference gradients cheap and numerically benign.
+each loss quadratic in theta, so its gradient has a closed form.
 """
 
 from __future__ import annotations
@@ -96,6 +96,36 @@ def _ct_coef(t_lo: float, t_hi: float) -> float:
     return -np.expm1(-(t_lo + t_hi)) / np.sqrt(-np.expm1(-2.0 * t_hi))
 
 
+def _pairs(dist: MixtureParams, times: np.ndarray, n_mc: int, seed: int,
+           score_model: ScoreModel | None = None):
+    """Yield (t_lo, t_hi, x_{t_hi}, target) for each grid interval that
+    holds draws, all built from the shared draws of _draw.  The CD target
+    (score_model given) is one exponential-integrator step of x_{t_hi}
+    under the score model; the CT target (score_model None) is
+    e^{-t_lo} x_0 + ((1 - e^{-(t_lo + t_hi)}) / sqrt(1 - e^{-2 t_hi})) z."""
+    n_idx, x0, z = _draw(dist, times, n_mc, seed)
+    for i in range(times.shape[0] - 1):
+        mask = n_idx == i
+        if not np.any(mask):
+            continue
+        t_lo, t_hi = float(times[i]), float(times[i + 1])
+        x_hi = _noised(x0[mask], z[mask], t_hi)
+        if score_model is None:
+            target = np.exp(-t_lo) * x0[mask] + _ct_coef(t_lo, t_hi) * z[mask]
+        else:
+            target = exp_integrator_step(score_model, x_hi, t_hi, t_lo)
+        yield t_lo, t_hi, x_hi, target
+
+
+def _loss(theta: ParametricCM, theta_minus: ParametricCM, pairs,
+          n_mc: int) -> float:
+    total = 0.0
+    for t_lo, t_hi, x_hi, target in pairs:
+        diff = theta(x_hi, t_hi) - theta_minus(target, t_lo)
+        total += float(np.sum(diff**2))
+    return total / n_mc
+
+
 def cd_loss(theta: ParametricCM, theta_minus: ParametricCM,
             score_model: ScoreModel, dist: MixtureParams, grid, n_mc: int,
             seed: int) -> float:
@@ -103,19 +133,8 @@ def cd_loss(theta: ParametricCM, theta_minus: ParametricCM,
     - f_{theta^-}(xhat_{t_n}, t_n) ||^2 with xhat one
     exponential-integrator step of x_{t_{n+1}} under the score model and n
     uniform over the grid intervals."""
-    times = _times_of(grid)
-    n_idx, x0, z = _draw(dist, times, n_mc, seed)
-    total = 0.0
-    for i in range(times.shape[0] - 1):
-        mask = n_idx == i
-        if not np.any(mask):
-            continue
-        t_lo, t_hi = float(times[i]), float(times[i + 1])
-        x_hi = _noised(x0[mask], z[mask], t_hi)
-        xhat = exp_integrator_step(score_model, x_hi, t_hi, t_lo)
-        diff = theta(x_hi, t_hi) - theta_minus(xhat, t_lo)
-        total += float(np.sum(diff**2))
-    return total / n_mc
+    pairs = _pairs(dist, _times_of(grid), n_mc, seed, score_model)
+    return _loss(theta, theta_minus, pairs, n_mc)
 
 
 def ct_loss(theta: ParametricCM, theta_minus: ParametricCM,
@@ -123,19 +142,8 @@ def ct_loss(theta: ParametricCM, theta_minus: ParametricCM,
     """Training objective: same first term as cd_loss, but the second
     argument is built from the shared draws (x_0, z) without a score model:
     e^{-t_n} x_0 + ((1 - e^{-(t_n + t_{n+1})}) / sqrt(1 - e^{-2 t_{n+1}})) z."""
-    times = _times_of(grid)
-    n_idx, x0, z = _draw(dist, times, n_mc, seed)
-    total = 0.0
-    for i in range(times.shape[0] - 1):
-        mask = n_idx == i
-        if not np.any(mask):
-            continue
-        t_lo, t_hi = float(times[i]), float(times[i + 1])
-        x_hi = _noised(x0[mask], z[mask], t_hi)
-        y = np.exp(-t_lo) * x0[mask] + _ct_coef(t_lo, t_hi) * z[mask]
-        diff = theta(x_hi, t_hi) - theta_minus(y, t_lo)
-        total += float(np.sum(diff**2))
-    return total / n_mc
+    pairs = _pairs(dist, _times_of(grid), n_mc, seed)
+    return _loss(theta, theta_minus, pairs, n_mc)
 
 
 @dataclass(frozen=True)
@@ -148,41 +156,28 @@ class GradGapPoint:
         return {"dt": self.dt, "gap": self.gap, "std_err": self.std_err}
 
 
-def _chunk_grads(x_hi, x2, feat_hi, feat2, c_hi, c_lo, theta0, fd_step,
-                 chunk_edges):
-    """Finite-difference parameter gradients of the quadratic loss
-    mean || x_hi + c_hi feat_hi theta^T - (x2 + c_lo feat2 theta0^T) ||^2,
-    one gradient per sample chunk.  Only the first argument's theta is
-    perturbed; theta^- stays frozen at theta0."""
-    target = x2 + c_lo * (feat2 @ theta0.T)
-    d, m = theta0.shape
-    n_chunks = len(chunk_edges) - 1
-
-    def chunk_losses(theta):
-        sq = np.sum((x_hi + c_hi * (feat_hi @ theta.T) - target) ** 2, axis=1)
-        return np.array([sq[chunk_edges[k]:chunk_edges[k + 1]].mean()
-                         for k in range(n_chunks)])
-
-    grads = np.empty((n_chunks, d, m))
-    for a in range(d):
-        for j in range(m):
-            tp = theta0.copy()
-            tp[a, j] += fd_step
-            tm = theta0.copy()
-            tm[a, j] -= fd_step
-            grads[:, a, j] = (chunk_losses(tp) - chunk_losses(tm)) \
-                / (2.0 * fd_step)
-    return grads
+def _loss_grads(theta: ParametricCM, t_lo: float, t_hi: float,
+                x_hi: np.ndarray, target: np.ndarray,
+                edges: np.ndarray) -> np.ndarray:
+    """Gradient in theta of the loss on one interval's pairs, theta^-
+    frozen at theta, one gradient per sample chunk [edges[k], edges[k+1]):
+    (2 c_hi / n_k) R_k^T Phi_k with c_hi = t_hi - delta, Phi the features
+    at (x_hi, t_hi) and R = f_theta(x_hi, t_hi) - f_theta(target, t_lo)."""
+    c_hi = t_hi - theta.delta
+    feat = theta.features(x_hi, t_hi)
+    resid = x_hi + c_hi * (feat @ theta.theta.T) - theta(target, t_lo)
+    return np.stack([(2.0 * c_hi / (b - a)) * (resid[a:b].T @ feat[a:b])
+                     for a, b in zip(edges[:-1], edges[1:])])
 
 
 def grad_gap(theta0: ParametricCM, dist: MixtureParams,
              score_exact: ScoreModel, dt_list, n_mc: int, seed: int,
-             t_base: float = 0.5, fd_step: float = 1e-5,
-             n_chunks: int = 10) -> list[GradGapPoint]:
+             t_base: float = 0.5, n_chunks: int = 10) -> list[GradGapPoint]:
     """|| grad_theta L_CT - grad_theta L_CD || on two-point grids
     [t_base, t_base + dt], for each dt, with common random numbers across
-    objectives and across dt values.  Gradients are central finite
-    differences per parameter; std errors come from chunked sample means.
+    objectives and across dt values.  Gradients are the closed-form
+    gradients of the quadratic losses; std errors come from chunked sample
+    means.
 
     Expected behaviour (verified by the harness fit): the gap shrinks like
     dt^2 when the distillation side uses the exact score.
@@ -194,22 +189,10 @@ def grad_gap(theta0: ParametricCM, dist: MixtureParams,
     edges = np.linspace(0, n_mc, n_chunks + 1).astype(int)
     for dt in dt_list:
         times = np.array([t_base, t_base + dt])
-        _, x0, z = _draw(dist, times, n_mc, seed)
-        t_lo, t_hi = float(times[0]), float(times[1])
-        c_hi = t_hi - theta0.delta
-        c_lo = t_lo - theta0.delta
-        x_hi = _noised(x0, z, t_hi)
-        feat_hi = theta0.features(x_hi, t_hi)
-
-        xhat = exp_integrator_step(score_exact, x_hi, t_hi, t_lo)
-        g_cd = _chunk_grads(x_hi, xhat, feat_hi, theta0.features(xhat, t_lo),
-                            c_hi, c_lo, theta0.theta, fd_step, edges)
-
-        y = np.exp(-t_lo) * x0 + _ct_coef(t_lo, t_hi) * z
-        g_ct = _chunk_grads(x_hi, y, feat_hi, theta0.features(y, t_lo),
-                            c_hi, c_lo, theta0.theta, fd_step, edges)
-
-        diff = g_ct - g_cd
+        (cd_pair,) = _pairs(dist, times, n_mc, seed, score_exact)
+        (ct_pair,) = _pairs(dist, times, n_mc, seed)
+        diff = _loss_grads(theta0, *ct_pair, edges) \
+            - _loss_grads(theta0, *cd_pair, edges)
         gap = float(np.linalg.norm(diff.mean(axis=0)))
         chunk_norms = np.linalg.norm(diff.reshape(n_chunks, -1), axis=1)
         se = float(chunk_norms.std(ddof=1) / np.sqrt(n_chunks))

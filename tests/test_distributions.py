@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from cmlab.distributions import (DegenerateDensityError, MixtureParams,
-                                 hessian_bound_bounded_support,
-                                 lipschitz_bound, log_density, marginal_at,
-                                 sample, score, score_hessian,
-                                 score_hessian_norm, second_moment)
+                                 hessian_bound_bounded_support, log_density,
+                                 marginal_at, sample, score, score_hessian,
+                                 score_hessian_norm)
 
 
 def bimodal_1d():
@@ -189,34 +188,6 @@ class TestHessian:
         expect = (np.exp(-1) * 4 / (1 - np.exp(-1)) ** 2
                   + 1 / (1 - np.exp(-1)))
         assert hessian_bound_bounded_support(2.0, 0.5) == pytest.approx(expect)
-
-
-class TestLipschitzBound:
-    def test_stationary_is_one(self):
-        dist = MixtureParams.standard_normal(1)
-        assert lipschitz_bound(dist, 0.1, 1.0, 5, 50, 0) == pytest.approx(1.0)
-
-    def test_wide_gaussian_is_one(self):
-        # s_t^2 >= 1 whenever the data variance is >= 1, so sup 1/s_t^2 = 1
-        dist = MixtureParams.gaussian(np.zeros(1), 4.0 * np.ones(1))
-        assert lipschitz_bound(dist, 0.1, 1.0, 5, 50, 0) == pytest.approx(1.0)
-
-    def test_circle_below_hessian_bound_at_t_lo(self):
-        dist = MixtureParams.circle_point_masses(2.0, 8)
-        val = lipschitz_bound(dist, 0.1, 1.0, 5, 100, 0)
-        assert 1.0 <= val <= hessian_bound_bounded_support(2.0, 0.1)
-
-
-class TestSecondMoment:
-    def test_standard_normal(self):
-        assert second_moment(MixtureParams.standard_normal(3)) == pytest.approx(3.0)
-
-    def test_point_mass(self):
-        dist = MixtureParams.point_masses([[3.0, 4.0]])
-        assert second_moment(dist) == pytest.approx(25.0)
-
-    def test_bimodal(self):
-        assert second_moment(bimodal_1d()) == pytest.approx(4.1)
 
 
 def derive_points(d, n=5, seed=0):

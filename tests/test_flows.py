@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from cmlab.distributions import MixtureParams, marginal_at, sample
-from cmlab.flows import (StepUnderflowError, consistency_empirical,
-                         consistency_exact, exact_field, exp_integrator_step,
-                         integrate_reference, pf_rhs_exact,
-                         score_time_derivative_norm)
+from cmlab.distributions import MixtureParams, marginal_at, sample, score
+from cmlab.flows import (StepUnderflowError, consistency_map,
+                         exp_integrator_step, integrate_reference, pf_field)
 from cmlab.harness import fit_loglog
 from cmlab.models import exact_score_model, perturb_score
 
@@ -18,24 +16,32 @@ def s_t(t, var0=4.0):
     return np.sqrt(var0 * np.exp(-2 * t) + 1 - np.exp(-2 * t))
 
 
+def exact_field(dist):
+    return pf_field(exact_score_model(dist))
+
+
+def consistency_exact(dist, x, t, delta):
+    return consistency_map(exact_score_model(dist), x, t, delta)
+
+
 class TestRhs:
     def test_stationary_field_vanishes(self):
         dist = MixtureParams.standard_normal(2)
         x = np.array([[0.4, -1.2]])
-        assert np.allclose(pf_rhs_exact(dist, x, 0.9), 0.0)
+        assert np.allclose(exact_field(dist)(x, 0.9), 0.0)
 
     def test_symmetric_mixture_origin(self):
         dist = MixtureParams(np.array([0.5, 0.5]),
                              np.array([[-2.0], [2.0]]),
                              np.array([[0.1], [0.1]]))
-        assert pf_rhs_exact(dist, np.array([0.0]), 0.5) == pytest.approx(0.0)
+        assert exact_field(dist)(np.array([0.0]), 0.5) == pytest.approx(0.0)
 
     def test_single_gaussian_closed_form(self):
         dist = wide_gaussian()
         t = 0.6
         x = np.array([1.4])
         expect = x * (1.0 / s_t(t) ** 2 - 1.0)
-        assert np.allclose(pf_rhs_exact(dist, x, t), expect)
+        assert np.allclose(exact_field(dist)(x, t), expect)
 
 
 class TestExpIntegrator:
@@ -107,6 +113,13 @@ class TestReferenceIntegrator:
             integrate_reference(exact_field(dist), np.array([[1.0]]),
                                 0.5, 0.5)
 
+    def test_blow_up_raises_step_underflow(self):
+        # dx/dt = -10 x^2 from x(1) = 1 has x(t) = 1 / (1 + 10 (t - 1)),
+        # which blows up at t = 0.9, before the end time 0.5
+        with pytest.raises(StepUnderflowError, match=r"\[0\.5, 1\.0\]"):
+            integrate_reference(lambda x, t: -10 * x**2, np.array([[1.0]]),
+                                1.0, 0.5)
+
     def test_pushforward_moments_match_marginal(self):
         dist = wide_gaussian(2)
         n = 4000
@@ -147,12 +160,13 @@ class TestConsistencyMaps:
         assert np.allclose(direct, via, atol=1e-8)
 
     def test_empirical_with_exact_score_matches_exact(self):
+        # the exact score model only converts its input with np.asarray,
+        # so its flow is the flow of the bare exact score, bit for bit
         dist = wide_gaussian()
-        sm = exact_score_model(dist)
         x = np.array([[0.9], [-1.3]])
-        a = consistency_exact(dist, x, 1.0, 0.05)
-        b = consistency_empirical(sm, x, 1.0, 0.05)
-        assert np.allclose(a, b, atol=1e-8)
+        a = consistency_map(lambda y, t: score(dist, t, y), x, 1.0, 0.05)
+        b = consistency_exact(dist, x, 1.0, 0.05)
+        assert np.array_equal(a, b)
 
     def test_empirical_perturbation_is_first_order(self):
         dist = wide_gaussian()
@@ -162,7 +176,7 @@ class TestConsistencyMaps:
         gaps = []
         for eps in eps_list:
             sm = perturb_score(dist, eps, 99)
-            f_em = consistency_empirical(sm, x, 1.0, 0.05)
+            f_em = consistency_map(sm, x, 1.0, 0.05)
             gaps.append(float(np.linalg.norm(f_em - f_ex)))
         fit = fit_loglog(eps_list, gaps)
         assert abs(fit.slope - 1.0) <= 0.15
@@ -177,24 +191,3 @@ class TestConsistencyMaps:
         back = consistency_exact(dist, x_t, t, delta)
         assert np.allclose(back, x0, atol=1e-8)
 
-
-class TestScoreTimeDerivative:
-    def test_stationary_is_zero(self):
-        dist = MixtureParams.standard_normal(1)
-        val = score_time_derivative_norm(dist, 0.5, 200, 0)
-        assert val <= 1e-10
-
-    def test_wide_gaussian_positive_and_decreasing(self):
-        dist = wide_gaussian()
-        v1 = score_time_derivative_norm(dist, 0.5, 500, 0)
-        v2 = score_time_derivative_norm(dist, 1.5, 500, 0)
-        assert v1 > 0
-        assert v2 < v1
-
-    def test_wide_gaussian_within_shape_bound(self):
-        # diagnostic magnitude check: value <= C * L^2 d (L + 1/t) with a
-        # generous constant; L = 1 for data variance >= 1
-        dist = wide_gaussian()
-        t = 0.5
-        val = score_time_derivative_norm(dist, t, 500, 0)
-        assert val <= 10.0 * 1.0 * 1 * (1.0 + 1.0 / t)

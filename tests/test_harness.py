@@ -157,6 +157,18 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_config_value_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.json"
+        cfg.write_text('{"kind": "h-sweep", "n": NaN}')
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_sample_unknown_key_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps({"nn": 5}))
+        assert main(["sample", "--config", str(cfg)]) == 1
+        assert "error:" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_gradcheck_prints_slope(self, tmp_path, capsys):
         cfg = tmp_path / "g.json"

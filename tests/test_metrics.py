@@ -3,9 +3,8 @@ import pytest
 from scipy.special import erf
 
 from cmlab.distributions import MixtureParams
-from cmlab.metrics import (moment_report, tv_1d, tv_gaussian_1d, w2_1d_exact,
-                           w2_fit_pair, w2_gaussian, w2_gaussian_fit,
-                           w2_sliced)
+from cmlab.metrics import (tv_gaussian_1d, w2_1d_exact, w2_fit_pair,
+                           w2_gaussian, w2_gaussian_fit, w2_sliced)
 
 
 class TestW21dExact:
@@ -117,38 +116,6 @@ class TestGaussianFit:
         assert val == pytest.approx(0.3 * np.sqrt(2), abs=0.02)
 
 
-class TestTv1d:
-    def test_identical_batches_noise_floor(self):
-        n, bins = 100_000, 200
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((n, 1))
-        b = rng.standard_normal((n, 1))
-        assert tv_1d(a, b, bins).value <= 3 * np.sqrt(bins / n)
-
-    def test_far_translated_gaussians(self):
-        n = 100_000
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((n, 1))
-        b = 3.0 + rng.standard_normal((n, 1))
-        expect = erf(3.0 / (2 * np.sqrt(2)))
-        assert tv_1d(a, b).value == pytest.approx(expect, abs=0.02)
-
-    def test_bounded_by_one(self):
-        a = np.zeros((100, 1))
-        b = np.full((100, 1), 50.0)
-        assert tv_1d(a, b).value <= 1.0
-
-    def test_converges_to_analytic(self):
-        expect = tv_gaussian_1d(0.0, 1.0, 1.0, 1.0).value
-        errs = []
-        for n in (10_000, 100_000):
-            rng = np.random.default_rng(7)
-            a = rng.standard_normal((n, 1))
-            b = 1.0 + rng.standard_normal((n, 1))
-            errs.append(abs(tv_1d(a, b).value - expect))
-        assert errs[1] <= errs[0]
-
-
 class TestTvGaussian1d:
     def test_equal_parameters_zero(self):
         assert tv_gaussian_1d(0.3, 1.2, 0.3, 1.2).value <= 1e-12
@@ -167,20 +134,3 @@ class TestTvGaussian1d:
         with pytest.raises(ValueError):
             tv_gaussian_1d(0.0, 0.0, 0.0, 1.0)
 
-
-class TestMomentReport:
-    def test_standard_normal_second_moment(self):
-        n, d = 100_000, 3
-        pts = np.random.default_rng(0).standard_normal((n, d))
-        rep = moment_report(pts)
-        assert rep["m2_sq"] == pytest.approx(d, abs=5 * np.sqrt(2 * d / n))
-
-    def test_point_mass(self):
-        pts = np.tile([3.0, 4.0], (50, 1))
-        rep = moment_report(pts)
-        assert rep["m2_sq"] == pytest.approx(25.0)
-        assert np.allclose(rep["variance"], 0.0)
-
-    def test_reproducible(self):
-        pts = np.random.default_rng(1).normal(size=(100, 2))
-        assert moment_report(pts) == moment_report(pts.copy())

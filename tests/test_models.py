@@ -32,7 +32,6 @@ class TestPerturbScore:
         sm = perturb_score(dist, 0.1, 5)
         eps = measure_score_error(sm, dist, grid, 300, 1)
         assert 0.0 < eps <= 0.1 * np.sqrt(2)
-        assert sm.measured_eps_sc == eps
 
     def test_injection_is_exactly_linear(self):
         dist = wide_gaussian(2)
@@ -138,7 +137,6 @@ class TestEstimateLipschitz:
         t = 1.0
         lf = estimate_lipschitz(cm, dist, t, 100, 3)
         assert lf == pytest.approx(s_t(0.05) / s_t(t), rel=1e-3)
-        assert cm.measured_Lf == lf
 
 
 class TestRecoverScore:

@@ -3,7 +3,8 @@ import pytest
 
 from cmlab.distributions import MixtureParams
 from cmlab.models import exact_score_model
-from cmlab.objectives import ParametricCM, cd_loss, ct_loss, grad_gap
+from cmlab.objectives import (ParametricCM, _loss_grads, _pairs, cd_loss,
+                              ct_loss, grad_gap)
 from cmlab.rng import derive_rng
 
 
@@ -130,6 +131,34 @@ class TestGradGap:
                      20_000, 2)[0]
         band = 3 * (a.std_err + b.std_err)
         assert abs(a.gap - b.gap) <= max(band, 0.3 * max(a.gap, b.gap))
+
+    def test_closed_form_gradient_matches_finite_difference(self):
+        # grad_gap's per-objective gradient against a central difference of
+        # cd_loss and ct_loss in theta, theta^- frozen, on one two-point
+        # grid; the losses are quadratic in theta, so the difference is
+        # exact up to rounding
+        dist = wide()
+        sm = exact_score_model(dist)
+        theta0 = derive_rng(7, "theta").standard_normal((1, 8))
+        pcm = ParametricCM.create(1, 8, 0, 0.01, theta=theta0)
+        times = np.array([0.5, 0.6])
+        n_mc, seed, step = 2000, 3, 1e-5
+        losses = {
+            "cd": lambda th: cd_loss(pcm.with_theta(th), pcm, sm, dist,
+                                     times, n_mc, seed),
+            "ct": lambda th: ct_loss(pcm.with_theta(th), pcm, dist, times,
+                                     n_mc, seed),
+        }
+        for name, score_model in (("cd", sm), ("ct", None)):
+            (pair,) = _pairs(dist, times, n_mc, seed, score_model)
+            grad = _loss_grads(pcm, *pair, np.array([0, n_mc]))[0]
+            fd = np.empty_like(theta0)
+            for j in range(theta0.shape[1]):
+                bump = np.zeros_like(theta0)
+                bump[0, j] = step
+                fd[0, j] = (losses[name](theta0 + bump)
+                            - losses[name](theta0 - bump)) / (2 * step)
+            assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
 
     def test_requires_decreasing_dt(self):
         pcm = ParametricCM.create(1, 8, 0, 0.01)
