@@ -14,19 +14,14 @@ Usage: python3 demos/error_injection.py [seed]
 
 import sys
 
-import numpy as np
-
-from cmlab.distributions import MixtureParams
 from cmlab.harness import eps_sweep_one_step, fit_loglog
 
 
 def main() -> None:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 0
-    dist = MixtureParams.gaussian(np.zeros(2), 4.0 * np.ones(2))
+    # the defaults are the pinned runs of criteria 2 and 3
     for inject in ("sc", "cm"):
-        rep = eps_sweep_one_step(dist, delta=0.01, h=0.025, T=2.0,
-                                 eps_list=[0.2, 0.1, 0.05], inject=inject,
-                                 n=50_000, seed=seed)
+        rep = eps_sweep_one_step(inject=inject, seed=seed)
         label = "score" if inject == "sc" else "consistency"
         print(f"\n{label} error injection "
               f"(baseline w2 = {rep['baseline_w2']:.5f})")

@@ -17,8 +17,7 @@ from cmlab.harness import gradcheck_experiment
 
 def main() -> None:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 0
-    res = gradcheck_experiment(dt_list=(0.2, 0.1, 0.05), n_mc=100_000,
-                               seed=seed)
+    res = gradcheck_experiment(seed=seed)
     print(f"{'dt':>8}  {'gap':>12}  {'std_err':>10}")
     for row in res["rows"]:
         print(f"{row['dt']:>8g}  {row['gap']:>12.6e}  "

@@ -11,18 +11,13 @@ Usage: python3 demos/h_scaling.py [seed]
 
 import sys
 
-from cmlab.distributions import MixtureParams
 from cmlab.harness import fit_loglog, h_sweep_one_step
-
-import numpy as np
 
 
 def main() -> None:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 0
-    dist = MixtureParams.gaussian(np.zeros(2), 4.0 * np.ones(2))
-    h_list = [0.2, 0.1, 0.05, 0.025]
-    rep = h_sweep_one_step(dist, delta=0.01, T=2.0, h_list=h_list,
-                           floor_h=0.0125, n=50_000, seed=seed)
+    # the defaults are criterion 1's pinned run
+    rep = h_sweep_one_step(seed=seed)
 
     print(f"floor (Richardson, at h={rep['floor_h']}): {rep['floor']:.6f}")
     print(f"{'h':>8}  {'w2':>10}  {'excess':>10}")

@@ -22,14 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .harness import (FitResult, fit_loglog, gradcheck_experiment,
-                      h_sweep_one_step, hessian_bound_check,
-                      eps_sweep_one_step, multistep_contraction,
-                      ou_tv_bound_check, render_json,
+from .harness import (fit_loglog, gradcheck_experiment, h_sweep_one_step,
+                      hessian_bound_check, eps_sweep_one_step,
+                      multistep_contraction, ou_tv_bound_check, render_json,
                       score_recovery_experiment, stationary_suite,
                       ulmc_correction_closed_form,
                       ulmc_correction_experiment)
-from .distributions import MixtureParams
 from .samplers import ulmc_mean_contraction
 
 import numpy as np
@@ -45,17 +43,9 @@ class CriterionResult:
     passed: bool
     details: dict = field(default_factory=dict)
 
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"criterion {self.number:2d} [{status}] {self.name}"
-
     def to_dict(self) -> dict:
         return {"number": self.number, "name": self.name,
                 "passed": self.passed, "details": self.details}
-
-
-def _gauss22() -> MixtureParams:
-    return MixtureParams.gaussian(np.zeros(2), 4.0 * np.ones(2))
 
 
 def _slope_check(xs, ys, target: float, tol: float) -> tuple[bool, dict]:
@@ -70,8 +60,7 @@ def _slope_check(xs, ys, target: float, tol: float) -> tuple[bool, dict]:
 
 def criterion_1(seed: int) -> CriterionResult:
     """One-step error is first order in the uniform step size h."""
-    res = h_sweep_one_step(_gauss22(), 0.01, 2.0, [0.2, 0.1, 0.05, 0.025],
-                           0.0125, 50_000, seed)
+    res = h_sweep_one_step(seed=seed)
     xs = [r["h"] for r in res["rows"]]
     ys = [r["w2_excess"] for r in res["rows"]]
     ok, details = _slope_check(xs, ys, 1.0, 0.25)
@@ -81,8 +70,7 @@ def criterion_1(seed: int) -> CriterionResult:
 
 def criterion_2(seed: int) -> CriterionResult:
     """One-step error grows linearly in the measured score error."""
-    res = eps_sweep_one_step(_gauss22(), 0.01, 0.025, 2.0,
-                             [0.2, 0.1, 0.05], "sc", 50_000, seed)
+    res = eps_sweep_one_step(inject="sc", seed=seed)
     xs = [r["eps_hat"] for r in res["rows"]]
     ys = [r["w2_excess"] for r in res["rows"]]
     ok, details = _slope_check(xs, ys, 1.0, 0.25)
@@ -92,8 +80,7 @@ def criterion_2(seed: int) -> CriterionResult:
 
 def criterion_3(seed: int) -> CriterionResult:
     """One-step error grows linearly in the measured consistency error."""
-    res = eps_sweep_one_step(_gauss22(), 0.01, 0.025, 2.0,
-                             [0.2, 0.1, 0.05], "cm", 50_000, seed)
+    res = eps_sweep_one_step(inject="cm", seed=seed)
     xs = [r["eps_hat"] for r in res["rows"]]
     ys = [r["w2_excess"] for r in res["rows"]]
     ok, details = _slope_check(xs, ys, 1.0, 0.25)
@@ -104,8 +91,7 @@ def criterion_3(seed: int) -> CriterionResult:
 def criterion_4(seed: int) -> CriterionResult:
     """Multistep sampling contracts geometrically, then plateaus at or
     below the one-step error within eight rounds."""
-    res = multistep_contraction(_gauss22(), 0.01, 0.05, 2.0, 0.05, 10,
-                                50_000, seed)
+    res = multistep_contraction(seed=seed)
     details = dict(res)
     ok = (res["plateau_k"] is not None and res["plateau_k"] <= 8
           and res["plateau_w2"] is not None
@@ -115,7 +101,7 @@ def criterion_4(seed: int) -> CriterionResult:
 
 def criterion_5(seed: int) -> CriterionResult:
     """Every sampler is exact on stationary data up to estimator noise."""
-    res = stationary_suite(100_000, seed)
+    res = stationary_suite(seed=seed)
     worst = max(r["ratio_to_floor"] for r in res["rows"])
     ok = worst <= 3.0
     details = dict(res)

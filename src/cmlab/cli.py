@@ -14,14 +14,15 @@ import argparse
 import sys
 
 from .acceptance import DEFAULT_SEED, run_all
-from .harness import (ConfigError, ExperimentConfig, emit, render_csv,
-                      render_json, run_experiment)
-from .schedule import GridRangeError
+from .harness import (ConfigError, ExperimentConfig, check_seed, emit,
+                      render_csv, render_json, run_experiment)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", help="JSON config file")
-    p.add_argument("--seed", type=int, default=None, metavar="U64")
+    # other text is kept for check_seed to reject, so that it exits 1
+    p.add_argument("--seed", type=lambda s: int(s) if s.isdecimal() else s,
+                   default=None, metavar="U64")
     p.add_argument("--out", metavar="DIR", help="output directory")
     p.add_argument("--format", choices=("csv", "json"), default="json")
 
@@ -62,8 +63,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    report = run_all(seed)
+    report = run_all(DEFAULT_SEED if args.seed is None
+                     else check_seed(args.seed))
     for c in report["criteria"]:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"criterion {c['number']:2d} [{status}] {c['name']}")
@@ -90,8 +91,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, GridRangeError, ValueError, OSError,
-            KeyError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,10 +5,14 @@ fitting, and deterministic report emission.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import os
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Literal, Optional, Union, get_args, get_origin
 
 import numpy as np
 
@@ -22,7 +26,7 @@ from .objectives import GradGapPoint, ParametricCM, grad_gap
 from .rng import derive_rng
 from .samplers import (MultistepSchedule, fixed_time_schedule, multistep,
                        one_step, ou_smooth, ulmc_mean_contraction, ulmc_run)
-from .schedule import GridRangeError, TimeGrid, build_grid, uniform_grid
+from .schedule import TimeGrid, build_grid, uniform_grid
 from .distributions import SampleBatch, score, score_hessian_norm, \
     hessian_bound_bounded_support
 
@@ -69,12 +73,19 @@ def _grid_for(delta: float, h: float, T: float) -> TimeGrid:
     return uniform_grid(delta, h, T)
 
 
+# The data of criteria 1-4 and every config's default distribution.
+_GAUSS_4I = MixtureParams.gaussian(np.zeros(2), 4.0 * np.ones(2))
+
+
 # ---------------------------------------------------------------------------
-# experiment cores (also driven directly by the acceptance suite)
+# experiment cores; their defaults are the acceptance criteria's pinned runs
 # ---------------------------------------------------------------------------
 
-def h_sweep_one_step(dist: MixtureParams, delta: float, T: float, h_list,
-                     floor_h: float, n: int, seed: int) -> dict:
+def h_sweep_one_step(distribution: MixtureParams = _GAUSS_4I,
+                     delta: float = 0.01, T: float = 2.0,
+                     h_list: Sequence[float] = (0.2, 0.1, 0.05, 0.025),
+                     floor_h: float = 0.0125, n: int = 50_000,
+                     seed: int = 0) -> dict:
     """One-step sampling error W2(q_1, p_delta) on fitted Gaussians as a
     function of the uniform-stage step size h, with common random numbers
     across h so the Monte-Carlo component is shared.
@@ -83,8 +94,8 @@ def h_sweep_one_step(dist: MixtureParams, delta: float, T: float, h_list,
     family: F = 2*err(floor_h) - err(2*floor_h), which cancels the linear
     discretization term of those two runs and leaves the pure limit error.
     """
-    score_model = exact_score_model(dist)
-    p_delta = marginal_at(dist, delta)
+    score_model = exact_score_model(distribution)
+    p_delta = marginal_at(distribution, delta)
 
     def err_at(grid: TimeGrid) -> float:
         cm = discretized_cm(score_model, grid)
@@ -104,9 +115,10 @@ def h_sweep_one_step(dist: MixtureParams, delta: float, T: float, h_list,
             "w2_at_floor_h": e_floor, "w2_at_2floor_h": e_floor2}
 
 
-def eps_sweep_one_step(dist: MixtureParams, delta: float, h: float, T: float,
-                       eps_list, inject: str, n: int, seed: int,
-                       n_mc_measure: int = 400) -> dict:
+def eps_sweep_one_step(distribution: MixtureParams = _GAUSS_4I,
+                       delta: float = 0.01, h: float = 0.025, T: float = 2.0,
+                       eps_list: Sequence[float] = (0.2, 0.1, 0.05), *,
+                       inject: str, n: int = 50_000, seed: int = 0) -> dict:
     """One-step error as a function of injected score error ("sc") or
     consistency error ("cm").
 
@@ -119,8 +131,8 @@ def eps_sweep_one_step(dist: MixtureParams, delta: float, h: float, T: float,
     if inject not in ("sc", "cm"):
         raise ValueError("inject must be 'sc' or 'cm'")
     grid = _grid_for(delta, h, T)
-    exact = exact_score_model(dist)
-    p_delta = marginal_at(dist, delta)
+    exact = exact_score_model(distribution)
+    p_delta = marginal_at(distribution, delta)
     base_cm = discretized_cm(exact, grid)
     base_batch = one_step(base_cm, T, n, seed)
     base_err = w2_gaussian_fit(base_batch, p_delta).value
@@ -130,13 +142,13 @@ def eps_sweep_one_step(dist: MixtureParams, delta: float, h: float, T: float,
     for eps in eps_list:
         eps = float(eps)
         if inject == "sc":
-            sm = perturb_score(dist, eps, pert_seed)
+            sm = perturb_score(distribution, eps, pert_seed)
             cm = discretized_cm(sm, grid)
-            eps_hat = measure_score_error(sm, dist, grid, n_mc_measure, seed)
+            eps_hat = measure_score_error(sm, distribution, grid, 400, seed)
         else:
             cm = perturb_cm(base_cm, eps, pert_seed)
-            eps_hat = measure_cm_error(cm, exact, dist, grid,
-                                       n_mc_measure, seed)
+            eps_hat = measure_cm_error(cm, exact, distribution, grid, 400,
+                                       seed)
         batch = one_step(cm, T, n, seed)
         err = w2_gaussian_fit(batch, p_delta).value
         excess = w2_fit_pair(batch, base_batch).value
@@ -145,24 +157,27 @@ def eps_sweep_one_step(dist: MixtureParams, delta: float, h: float, T: float,
     return {"rows": rows, "baseline_w2": base_err, "inject": inject}
 
 
-def multistep_contraction(dist: MixtureParams, delta: float, h: float,
-                          T: float, eps_cm: float, n_rounds: int, n: int,
-                          seed: int, ratio_cut: float = 0.75) -> dict:
+def multistep_contraction(distribution: MixtureParams = _GAUSS_4I,
+                          delta: float = 0.01, h: float = 0.05,
+                          T: float = 2.0, eps_cm: float = 0.05,
+                          n_rounds: int = 10, n: int = 50_000,
+                          seed: int = 0) -> dict:
     """Multistep sampling on the fixed-time schedule: per-round error,
     per-round ratios, and the detected plateau.
 
     plateau_k is the first round whose improvement ratio exceeds ratio_cut;
     plateau_w2 is the worst error from that round on.
     """
+    ratio_cut = 0.75
     grid = _grid_for(delta, h, T)
-    exact = exact_score_model(dist)
+    exact = exact_score_model(distribution)
     base_cm = discretized_cm(exact, grid)
     pert_seed = int(derive_rng(seed, "inject-seed").integers(2**63))
     cm = perturb_cm(base_cm, eps_cm, pert_seed) if eps_cm > 0 else base_cm
-    lf = estimate_lipschitz(cm, dist, T, 500,
+    lf = estimate_lipschitz(cm, distribution, T, 500,
                             int(derive_rng(seed, "lf-seed").integers(2**63)))
     sched = fixed_time_schedule(grid, lf, n_rounds)
-    p_delta = marginal_at(dist, delta)
+    p_delta = marginal_at(distribution, delta)
     batches = multistep(cm, sched, n, seed)
     w2s = [w2_gaussian_fit(b, p_delta).value for b in batches]
     ratios = [w2s[k] / w2s[k - 1] for k in range(1, len(w2s))]
@@ -185,9 +200,7 @@ def multistep_contraction(dist: MixtureParams, delta: float, h: float,
     }
 
 
-def stationary_suite(n: int, seed: int, tau_ou: float = 0.05,
-                     gamma: float = 1.0, tau_ulmc: float = 0.005,
-                     n_ulmc: int = 200, n_proj: int = 64) -> dict:
+def stationary_suite(n: int = 100_000, seed: int = 0) -> dict:
     """Every sampler applied to stationary data N(0, I_2), compared by
     sliced W2 to a fresh stationary batch; the noise floor is the sliced
     W2 between two independent fresh batches of the same size."""
@@ -198,24 +211,25 @@ def stationary_suite(n: int, seed: int, tau_ou: float = 0.05,
 
     ref = derive_rng(seed, "fresh-ref").standard_normal((n, 2))
     fresh_a = derive_rng(seed, "fresh-a").standard_normal((n, 2))
-    floor = w2_sliced(fresh_a, ref, n_proj=n_proj, seed=seed).value
+    floor = w2_sliced(fresh_a, ref, seed=seed).value
 
     q1 = one_step(cm, T, n, seed)
     sched = MultistepSchedule(times=np.array([T, 0.7, 0.7, 0.7]), delta=delta)
     qk = multistep(cm, sched, n, seed)[-1]
-    q_ou = ou_smooth(q1, tau_ou, seed)
-    q_ulmc = ulmc_run(score_at_delta, q1, gamma, tau_ulmc, n_ulmc, seed)
+    q_ou = ou_smooth(q1, 0.05, seed)
+    q_ulmc = ulmc_run(score_at_delta, q1, 1.0, 0.005, 200, seed)
 
     rows = []
     for name, batch in [("one_step", q1), ("multistep_k4", qk),
                         ("one_step_ou", q_ou), ("one_step_ulmc", q_ulmc)]:
-        val = w2_sliced(batch, ref, n_proj=n_proj, seed=seed).value
+        val = w2_sliced(batch, ref, seed=seed).value
         rows.append({"sampler": name, "sliced_w2": val,
                      "ratio_to_floor": val / floor})
     return {"rows": rows, "noise_floor": floor, "n": n}
 
 
-def ou_tv_bound_check(m_list=(0.1, 0.3, 0.5), tau_list=(0.01, 0.05)) -> dict:
+def ou_tv_bound_check(m_list: Sequence[float] = (0.1, 0.3, 0.5),
+                      tau_list: Sequence[float] = (0.01, 0.05)) -> dict:
     """Analytic check of the smoothing inequality
     TV(N(0,1) P^tau, N(m,1) P^tau) <= W1 / (2 sqrt(e^{2 tau} - 1)):
     both smoothed laws stay unit-variance with means scaled by e^{-tau},
@@ -234,17 +248,16 @@ def ou_tv_bound_check(m_list=(0.1, 0.3, 0.5), tau_list=(0.01, 0.05)) -> dict:
     return {"rows": rows, "violations": violations}
 
 
-def hessian_bound_check(radius: float = 2.0, n_masses: int = 8,
-                        t_list=(0.1, 0.5, 1.0), n_points: int = 100,
-                        seed: int = 0) -> dict:
+def hessian_bound_check(seed: int = 0) -> dict:
     """Score-Hessian operator norm at p_t-distributed points versus the
     bounded-support closed-form bound, for point masses on a circle."""
-    dist = MixtureParams.circle_point_masses(radius, n_masses)
+    radius = 2.0
+    dist = MixtureParams.circle_point_masses(radius, 8)
     rows = []
     violations = 0
-    for j, t in enumerate(t_list):
+    for j, t in enumerate((0.1, 0.5, 1.0)):
         pt = marginal_at(dist, float(t))
-        x = sample(pt, n_points,
+        x = sample(pt, 100,
                    int(derive_rng(seed, "hess", j).integers(2**63))).points
         norms = np.array([score_hessian_norm(dist, float(t), xi)
                           for xi in x])
@@ -292,25 +305,23 @@ def ulmc_correction_closed_form(shift: float = 0.3, gamma: float = 1.0,
             "tv_after": tv_after, "ratio": tv_after / tv_before}
 
 
-def score_recovery_experiment(eps_sc: float = 0.1, delta: float = 0.01,
-                              h: float = 0.1, T: float = 1.0,
-                              n_mc: int = 300, seed: int = 0) -> dict:
+def score_recovery_experiment(seed: int = 0) -> dict:
     """Recover a score model at the second grid time from a consistency
     map built on a perturbed score, and compare its L2(p_{t_2}) error to
     the combined consistency/score error budget."""
     from .models import empirical_cm, recover_score
 
     dist = MixtureParams.gaussian([0.0], [4.0])
-    grid = build_grid(delta, h, T)
+    grid = build_grid(0.01, 0.1, 1.0)
     pert_seed = int(derive_rng(seed, "inject-seed").integers(2**63))
-    sm = perturb_score(dist, eps_sc, pert_seed)
-    cm = empirical_cm(sm, delta)
+    sm = perturb_score(dist, 0.1, pert_seed)
+    cm = empirical_cm(sm, grid.delta)
     eps_sc_hat = measure_score_error(sm, dist, grid, 400, seed)
     eps_cm_hat = measure_cm_error(cm, sm, dist, grid, 200, seed)
 
     recovered = recover_score(cm, grid)
     t2 = float(grid.points[1])
-    x = sample(marginal_at(dist, t2), n_mc,
+    x = sample(marginal_at(dist, t2), 300,
                int(derive_rng(seed, "recovery-eval").integers(2**63))).points
     err = recovered(x, t2) - score(dist, t2, x)
     l2_err = float(np.sqrt(np.mean(np.sum(err**2, axis=1))))
@@ -320,9 +331,12 @@ def score_recovery_experiment(eps_sc: float = 0.1, delta: float = 0.01,
             "ratio": l2_err / budget if budget > 0 else float("inf")}
 
 
-def sample_experiment(dist: MixtureParams, sampler: str = "one-step",
+def sample_experiment(distribution: MixtureParams = _GAUSS_4I,
+                      sampler: Literal["one-step", "multistep", "one-step+ou",
+                                       "one-step+ulmc"] = "one-step",
                       n: int = 1000, delta: float = 0.01, T: float = 2.0,
-                      h: Optional[float] = None, times=None,
+                      h: Optional[float] = None,
+                      times: Optional[Sequence[float]] = None,
                       tau: Optional[float] = None, gamma: float = 1.0,
                       n_steps: int = 100, seed: int = 0) -> dict:
     """Points drawn by one sampler from the exact consistency map, or from
@@ -330,8 +344,8 @@ def sample_experiment(dist: MixtureParams, sampler: str = "one-step",
     the schedule `times` (default [T, 1, 1, 1]), or one-step followed by
     OU smoothing ("one-step+ou", tau default 0.05) or by the Langevin
     corrector ("one-step+ulmc", tau default 0.01)."""
-    score_model = exact_score_model(dist)
-    cm = exact_cm(dist, delta) if h is None \
+    score_model = exact_score_model(distribution)
+    cm = exact_cm(distribution, delta) if h is None \
         else discretized_cm(score_model, _grid_for(delta, h, T))
     if sampler == "one-step":
         batch = one_step(cm, T, n, seed)
@@ -346,39 +360,113 @@ def sample_experiment(dist: MixtureParams, sampler: str = "one-step",
         batch = ulmc_run(score_model, one_step(cm, T, n, seed), gamma,
                          0.01 if tau is None else tau, n_steps, seed)
     else:
-        raise ConfigError(f"unknown sampler kind {sampler!r}")
+        raise ValueError(f"unknown sampler kind {sampler!r}")
     return {"rows": [{f"x{j}": float(v) for j, v in enumerate(pt)}
                      for pt in batch.points]}
 
 
-def gradcheck_experiment(dt_list=(0.2, 0.1, 0.05), n_mc: int = 100_000,
-                         seed: int = 0, dim: int = 1, m: int = 32,
-                         delta: float = 0.01, t_base: float = 0.5) -> dict:
+def gradcheck_experiment(dt_list: Sequence[float] = (0.2, 0.1, 0.05),
+                         n_mc: int = 100_000, seed: int = 0) -> dict:
     """CT-vs-CD gradient gap across grid spacings plus the fitted log-log
     slope (second-order agreement predicts slope 2)."""
-    dist = MixtureParams.gaussian(np.zeros(dim), 4.0 * np.ones(dim))
-    theta0 = 0.1 * derive_rng(seed, "theta0").standard_normal((dim, m))
-    pcm = ParametricCM.create(dim, m, seed, delta, theta=theta0)
-    pts = grad_gap(pcm, dist, exact_score_model(dist), dt_list, n_mc, seed,
-                   t_base=t_base)
+    dist = MixtureParams.gaussian(np.zeros(1), 4.0 * np.ones(1))
+    theta0 = 0.1 * derive_rng(seed, "theta0").standard_normal((1, 32))
+    pcm = ParametricCM.create(1, 32, seed, 0.01, theta=theta0)
+    pts = grad_gap(pcm, dist, exact_score_model(dist), dt_list, n_mc, seed)
     fit = fit_loglog([p.dt for p in pts], [p.gap for p in pts])
     return {"rows": [p.to_dict() for p in pts], "fit": fit.to_dict()}
+
+
+def grid_experiment(delta: float = 0.01, h: float = 0.1,
+                    T: float = 1.0) -> dict:
+    """The cores' time grid at (delta, h, T), one row per point."""
+    grid = _grid_for(delta, h, T)
+    rows = [{"index": i, "t": t} for i, t in enumerate(grid.points.tolist())]
+    return {**json.loads(grid.to_json()), "rows": rows}
 
 
 # ---------------------------------------------------------------------------
 # config-driven runner
 # ---------------------------------------------------------------------------
 
-_KINDS = ("h-sweep", "eps-sc-sweep", "eps-cm-sweep", "multistep",
-          "stationary", "ou-tv", "hessian", "ulmc-correction", "gradcheck",
-          "grid", "sample")
-
-_ALLOWED_KEYS = {
-    "kind", "distribution", "delta", "h", "T", "h_list", "floor_h",
-    "eps_list", "eps_cm", "n_rounds", "n", "seed", "tau", "gamma",
-    "n_steps", "dt_list", "n_mc", "shift", "m_list", "tau_list",
-    "sampler", "times",
+# kind -> core.  A config of kind K may set exactly the keyword parameters
+# of K's core, plus "seed"; each takes the core's default and annotation.
+_KINDS = {
+    "h-sweep": h_sweep_one_step,
+    "eps-sc-sweep": functools.partial(eps_sweep_one_step, inject="sc"),
+    "eps-cm-sweep": functools.partial(eps_sweep_one_step, inject="cm"),
+    "multistep": multistep_contraction,
+    "stationary": stationary_suite,
+    "ou-tv": ou_tv_bound_check,
+    "hessian": hessian_bound_check,
+    "ulmc-correction": ulmc_correction_experiment,
+    "gradcheck": gradcheck_experiment,
+    "grid": grid_experiment,
+    "sample": sample_experiment,
 }
+
+# Counts lie in [least, 2**64): n >= 2 because a covariance is fitted to
+# the batch, n_mc >= 10 because grad_gap averages 10 chunks of its draws.
+_LEAST = {"n": 2, "n_mc": 10, "n_rounds": 1, "n_steps": 0, "seed": 0}
+# Numbers that may be 0: error levels and friction.  Every other number is
+# a time, a step or a shift and must be > 0.
+_NONNEGATIVE = {"eps_list", "eps_cm", "gamma"}
+
+
+def _fields(kind: str) -> dict:
+    """Config key -> annotation: kind's unbound core parameters and seed."""
+    core = _KINDS[kind]
+    params = inspect.signature(core, eval_str=True).parameters
+    return {"seed": int, **{k: p.annotation for k, p in params.items()
+                            if k not in getattr(core, "keywords", {})}}
+
+
+def _check(name: str, value, ann):
+    """value as a parameter annotated `ann` takes it, else a ConfigError."""
+    if value is None and type(None) in get_args(ann):     # Optional[X]
+        return None
+    ann = get_args(ann)[0] if get_origin(ann) is Union else ann
+    if ann is MixtureParams:
+        try:
+            dist = MixtureParams.from_json(json.dumps(value))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{name}: expected a mixture object with "
+                              f"weights, means and vars ({exc})") from exc
+        if np.isfinite([dist.means, dist.variances]).all():
+            return dist
+        raise ConfigError(f"{name}: means and vars must be finite")
+    if get_origin(ann) is Literal:
+        if value in get_args(ann):
+            return value
+        expected = f"one of {list(get_args(ann))}"
+    elif ann is int:
+        if type(value) is int and _LEAST[name] <= value < 2**64:
+            return value
+        expected = f"an integer in [{_LEAST[name]}, 2**64)"
+    else:                                    # float or Sequence[float]
+        zero_ok = name in _NONNEGATIVE
+        items = [value] if ann is float else \
+            value if isinstance(value, list) and value else [None]
+        if all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+               and (v > 0 or zero_ok and v == 0) for v in items):
+            return value
+        what = "a number" if ann is float else "a nonempty list of numbers"
+        expected = f"{what} {'>= 0' if zero_ok else '> 0'}"
+    raise ConfigError(f"{name}: expected {expected}, got {value!r}")
+
+
+def check_seed(value) -> int:
+    """A root seed: an integer in [0, 2**64)."""
+    return _check("seed", value, int)
+
+
+def _core_args(kind: str, params: dict) -> dict:
+    """The checked keyword arguments of kind's core, seed included."""
+    fields = _fields(kind)
+    unknown = set(params) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    return {k: _check(k, v, fields[k]) for k, v in params.items()}
 
 
 def _reject_constant(name: str):
@@ -387,7 +475,7 @@ def _reject_constant(name: str):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description parsed from strict JSON."""
+    """Experiment description parsed from strict JSON; params as given."""
 
     kind: str
     params: dict = field(default_factory=dict)
@@ -404,97 +492,45 @@ class ExperimentConfig:
             if raw["kind"] != kind:
                 raise ConfigError(
                     f"kind: expected {kind!r}, got {raw['kind']!r}")
-        unknown = set(raw) - _ALLOWED_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kind = raw.get("kind")
-        if kind not in _KINDS:
-            raise ConfigError(f"kind: expected one of {_KINDS}, got {kind!r}")
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise ConfigError(
+                f"kind: expected one of {tuple(_KINDS)}, got {kind!r}")
         params = {k: v for k, v in raw.items() if k != "kind"}
-        for key in ("h_list", "eps_list", "dt_list", "m_list", "tau_list"):
-            if key in params and not params[key]:
-                raise ConfigError(f"{key}: sweep list must be nonempty")
+        _core_args(kind, params)
         return cls(kind=kind, params=params)
 
     @classmethod
-    def from_json(cls, text: str,
+    def from_json(cls, text: str | bytes,
                   kind: Optional[str] = None) -> "ExperimentConfig":
         try:
             raw = json.loads(text, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_dict(raw, kind)
 
     @classmethod
     def from_file(cls, path: str,
                   kind: Optional[str] = None) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return cls.from_json(fh.read(), kind)
 
 
-def _dist_from(params: dict) -> MixtureParams:
-    raw = params.get("distribution")
-    if raw is None:
-        return MixtureParams.gaussian(np.zeros(2), 4.0 * np.ones(2))
-    return MixtureParams.from_json(json.dumps(raw))
-
-
 def run_experiment(cfg: ExperimentConfig, seed: Optional[int] = None) -> dict:
-    """Dispatch a config to the matching experiment core; the returned
-    report embeds the config so every row is re-derivable."""
-    p = dict(cfg.params)
-    root = int(seed if seed is not None else p.get("seed", 0))
-    kind = cfg.kind
+    """Run a config's core on its checked keys, seed (when given) in place
+    of the config's; the returned report embeds the config as given."""
+    given = cfg.params if seed is None else {**cfg.params, "seed": seed}
+    args = _core_args(cfg.kind, given)
+    root = args.pop("seed", 0)
+    core = _KINDS[cfg.kind]
+    if "seed" in inspect.signature(core).parameters:
+        args["seed"] = root
     try:
-        if kind == "h-sweep":
-            body = h_sweep_one_step(
-                _dist_from(p), p.get("delta", 0.01), p.get("T", 2.0),
-                p.get("h_list", [0.2, 0.1, 0.05, 0.025]),
-                p.get("floor_h", 0.0125), p.get("n", 50_000), root)
-        elif kind in ("eps-sc-sweep", "eps-cm-sweep"):
-            body = eps_sweep_one_step(
-                _dist_from(p), p.get("delta", 0.01), p.get("h", 0.025),
-                p.get("T", 2.0), p.get("eps_list", [0.2, 0.1, 0.05]),
-                "sc" if kind == "eps-sc-sweep" else "cm",
-                p.get("n", 50_000), root)
-        elif kind == "multistep":
-            body = multistep_contraction(
-                _dist_from(p), p.get("delta", 0.01), p.get("h", 0.05),
-                p.get("T", 2.0), p.get("eps_cm", 0.05),
-                p.get("n_rounds", 10), p.get("n", 50_000), root)
-        elif kind == "stationary":
-            body = stationary_suite(p.get("n", 100_000), root)
-        elif kind == "ou-tv":
-            body = ou_tv_bound_check(p.get("m_list", (0.1, 0.3, 0.5)),
-                                     p.get("tau_list", (0.01, 0.05)))
-        elif kind == "hessian":
-            body = hessian_bound_check(seed=root)
-        elif kind == "ulmc-correction":
-            body = ulmc_correction_experiment(
-                shift=p.get("shift", 0.3), gamma=p.get("gamma", 1.0),
-                tau=p.get("tau", 0.01), n_steps=p.get("n_steps", 100),
-                n=p.get("n", 100_000), seed=root)
-        elif kind == "gradcheck":
-            body = gradcheck_experiment(
-                dt_list=p.get("dt_list", (0.2, 0.1, 0.05)),
-                n_mc=p.get("n_mc", 100_000), seed=root)
-        elif kind == "grid":
-            grid = _grid_for(p.get("delta", 0.01), p.get("h", 0.1),
-                             p.get("T", 1.0))
-            body = json.loads(grid.to_json())
-            body["rows"] = [{"index": i, "t": t}
-                            for i, t in enumerate(grid.points.tolist())]
-        else:  # sample
-            body = sample_experiment(
-                _dist_from(p), p.get("sampler", "one-step"),
-                p.get("n", 1000), p.get("delta", 0.01), p.get("T", 2.0),
-                p.get("h"), p.get("times"), p.get("tau"),
-                p.get("gamma", 1.0), p.get("n_steps", 100), root)
-    except (GridRangeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"config rejected by {kind}: {exc}") from exc
-    return {"kind": kind, "seed": root, "config": p, "result": body}
+        body = core(**args)
+    except ValueError as exc:
+        raise ConfigError(f"config rejected by {cfg.kind}: {exc}") from exc
+    return {"kind": cfg.kind, "seed": root, "config": dict(cfg.params),
+            "result": body}
 
 
 def _jsonable(obj):

@@ -1,8 +1,12 @@
+import inspect
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cmlab import harness
 from cmlab.cli import main
 from cmlab.harness import (ConfigError, ExperimentConfig, emit, fit_loglog,
                            h_sweep_one_step, ou_tv_bound_check, render_csv,
@@ -47,6 +51,11 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json("{not json")
 
+    def test_u64_seed_is_accepted_and_reported(self):
+        cfg = ExperimentConfig.from_dict({"kind": "grid", "seed": 2**64 - 1})
+        assert run_experiment(cfg)["seed"] == 2**64 - 1
+        assert run_experiment(cfg, seed=5)["seed"] == 5
+
     def test_round_trip(self):
         cfg = ExperimentConfig.from_dict(
             {"kind": "h-sweep", "h_list": [0.2, 0.1, 0.05], "n": 500})
@@ -67,7 +76,7 @@ class TestRunExperiment:
 
     def test_invalid_params_become_config_error(self):
         cfg = ExperimentConfig.from_dict(
-            {"kind": "h-sweep", "delta": 0.5, "h": 0.1, "T": 0.2,
+            {"kind": "h-sweep", "delta": 0.5, "T": 0.2,
              "h_list": [0.1], "n": 100})
         with pytest.raises(ConfigError):
             run_experiment(cfg, seed=0)
@@ -177,3 +186,106 @@ class TestCli:
         assert main(["gradcheck", "--config", str(cfg), "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert "fitted slope:" in out
+
+
+_MIXTURE = {"weights": [0.5, 0.5], "means": [[-1.0], [1.0]],
+            "vars": [[0.1], [0.1]]}
+# any JSON value, and values near the valid ones so that many draws pass
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["weights", "means", "vars", "x"]), inner,
+        max_size=3), max_leaves=8)
+_NEAR = (st.integers(-1, 12) | st.floats(-0.1, 3.0)
+         | st.lists(st.floats(-0.1, 3.0), max_size=3)
+         | st.sampled_from([None, True, False, "one-step", "multistep",
+                            _MIXTURE, {**_MIXTURE, "weights": [1.0]}]))
+
+
+def _number(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v) and v >= 0
+
+
+def _fits(value, annotation: str) -> bool:
+    """The contract a checked value meets, read from the core's annotation."""
+    if value is None:
+        return annotation.startswith("Optional")
+    if annotation == "int":
+        return type(value) is int and 0 <= value < 2**64
+    if "Sequence" in annotation:
+        return isinstance(value, list) and len(value) > 0 \
+            and all(_number(v) for v in value)
+    if "float" in annotation:
+        return _number(value)
+    if annotation == "MixtureParams":
+        return isinstance(value, dict)
+    return value in ("one-step", "multistep", "one-step+ou", "one-step+ulmc")
+
+
+class TestConfigSchema:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_loader_names_the_field_or_accepts(self, data):
+        kind = data.draw(st.sampled_from(sorted(harness._KINDS)))
+        keys = st.sampled_from(sorted(harness._fields(kind)))
+        raw = data.draw(st.dictionaries(keys, st.one_of(_NEAR, _NEAR, _JSON),
+                                        max_size=2))
+        raw.update(data.draw(st.sampled_from(
+            [{}, {}, {"kind": kind}, {"kind": "hessian"}, {"x": 0}])))
+        try:
+            cfg = ExperimentConfig.from_dict(raw, kind)
+        except ConfigError as exc:
+            assert str(exc).startswith(
+                tuple(f"{k}: " for k in raw) + ("unknown config keys",))
+            return
+        # annotations as written, e.g. "Optional[float]"; seed is an int
+        params = inspect.signature(harness._KINDS[kind]).parameters
+        for key, value in cfg.params.items():
+            written = params[key].annotation if key in params else "int"
+            assert _fits(value, written), (key, value)
+
+    def test_keys_are_the_core_parameters(self):
+        assert sorted(harness._fields("hessian")) == ["seed"]
+        assert sorted(harness._fields("eps-sc-sweep")) == [
+            "T", "delta", "distribution", "eps_list", "h", "n", "seed"]
+        assert sum(len(harness._fields(k)) for k in harness._KINDS) == 59
+
+
+class TestCliRejects:
+    """Each malformed input exits 1 with `error: <field>` on stderr."""
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("sweep", {"kind": "h-sweep", "n": "abc"}, "n: expected an integer"),
+        ("sweep", {"kind": "ulmc-correction", "n": 1},
+         "n: expected an integer"),
+        ("sample", {"n": 5, "h_list": [0.1], "eps_cm": 3},
+         "unknown config keys: ['eps_cm', 'h_list']"),
+        ("sweep", {"kind": "hessian", "gamma": 5},
+         "unknown config keys: ['gamma']"),
+        ("sample", {"distribution": {**_MIXTURE, "weights": {"a": 1}}},
+         "distribution: "),
+        ("sweep", {"kind": "h-sweep", "n": True}, "n: expected an integer"),
+        ("sweep", {"kind": "h-sweep", "seed": 1.5},
+         "seed: expected an integer"),
+        ("sample", {"sampler": "two-step"}, "sampler: expected one of"),
+        ("grid", {"h": None}, "h: expected a number > 0"),
+    ], ids=["n-text", "n-one", "sample-foreign-keys", "hessian-foreign-key",
+            "weights-object", "n-bool", "seed-float", "sampler", "grid-null"])
+    def test_malformed_config(self, tmp_path, capsys, command, config,
+                              message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("seed", ["-1", "1.5", str(2**64)])
+    @pytest.mark.parametrize(
+        "command", ["grid", "sample", "sweep", "verify", "gradcheck"])
+    def test_bad_seed(self, tmp_path, capsys, command, seed):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"kind": "ou-tv"}))
+        config = ["--config", str(path)] if command == "sweep" else []
+        assert main([command, *config, f"--seed={seed}"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: seed: expected an integer in [0, 2**64), got ")
