@@ -202,10 +202,7 @@ def criterion_10(seed: int) -> CriterionResult:
 def criterion_11(seed: int) -> CriterionResult:
     """The combined report is a pure function of the seed: two full runs
     of the measured criteria serialize to identical bytes."""
-    a = render_report(_run_measured(seed))
-    b = render_report(_run_measured(seed))
-    return CriterionResult(11, "report determinism", a == b,
-                           {"bytes": len(a), "identical": a == b})
+    return _two_passes(seed)[-1]
 
 
 _MEASURED = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
@@ -224,23 +221,24 @@ def run_criterion(number: int, seed: int = DEFAULT_SEED) -> CriterionResult:
     return _MEASURED[number - 1](seed)
 
 
-def render_report(results: list[CriterionResult], seed: int | None = None
-                  ) -> str:
-    report = {"criteria": [r.to_dict() for r in results],
-              "all_passed": all(r.passed for r in results)}
-    if seed is not None:
-        report["seed"] = seed
-    return render_json(report)
+def render_report(results: list[CriterionResult]) -> str:
+    return render_json({"criteria": [r.to_dict() for r in results],
+                        "all_passed": all(r.passed for r in results)})
+
+
+def _two_passes(seed: int) -> list[CriterionResult]:
+    """Criteria 1-10 from the first of two full runs, then criterion 11:
+    whether the two runs' reports are identical bytes."""
+    first = _run_measured(seed)
+    identical = render_report(first) == render_report(_run_measured(seed))
+    return first + [CriterionResult(11, "report determinism", identical,
+                                    {"identical": identical})]
 
 
 def run_all(seed: int = DEFAULT_SEED) -> dict:
     """Run criteria 1-10 twice (the second pass feeds the determinism
     check) and return the combined report dict."""
-    first = _run_measured(seed)
-    second = _run_measured(seed)
-    identical = render_report(first) == render_report(second)
-    results = first + [CriterionResult(11, "report determinism", identical,
-                                       {"identical": identical})]
+    results = _two_passes(seed)
     return {"seed": seed,
             "criteria": [r.to_dict() for r in results],
             "all_passed": all(r.passed for r in results)}

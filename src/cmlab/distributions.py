@@ -147,14 +147,13 @@ class MixtureParams:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """An n x d point set with seed provenance.
+    """An n x d point set.
 
     time_tag records the diffusion time at which the points are distributed
     (None when unknown or not applicable).
     """
 
     points: np.ndarray
-    seed: int
     time_tag: Optional[float] = None
 
     def __post_init__(self):
@@ -174,8 +173,7 @@ class SampleBatch:
         return self.points.shape[1]
 
 
-def sample(dist: MixtureParams, n: int, seed: int,
-           time_tag: Optional[float] = None) -> SampleBatch:
+def sample(dist: MixtureParams, n: int, seed: int) -> SampleBatch:
     """Draw n i.i.d. points: component by weight, then a Gaussian draw.
 
     Same (dist, n, seed) always yields bit-identical batches.
@@ -186,7 +184,7 @@ def sample(dist: MixtureParams, n: int, seed: int,
     comp = rng.choice(dist.n_components, size=n, p=dist.weights)
     eps = rng.standard_normal((n, dist.dim))
     pts = dist.means[comp] + np.sqrt(dist.variances[comp]) * eps
-    return SampleBatch(points=pts, seed=int(seed), time_tag=time_tag)
+    return SampleBatch(points=pts)
 
 
 def marginal_at(dist: MixtureParams, t: float) -> MixtureParams:
@@ -204,28 +202,6 @@ def marginal_at(dist: MixtureParams, t: float) -> MixtureParams:
     )
 
 
-def _check_density_ok(dist: MixtureParams, t: float) -> MixtureParams:
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0.0 and dist.has_degenerate_component:
-        raise DegenerateDensityError(
-            "density is degenerate at t=0 for zero-variance components; "
-            "use t > 0"
-        )
-    return marginal_at(dist, t)
-
-
-def _log_component_terms(mix: MixtureParams, x: np.ndarray) -> np.ndarray:
-    """log w_i + log N(x; m_i, diag(s_i^2)) for x of shape (n, d) -> (n, K)."""
-    diff = x[:, None, :] - mix.means[None, :, :]          # (n, K, d)
-    var = mix.variances[None, :, :]
-    quad = np.sum(diff * diff / var, axis=2)
-    lognorm = np.sum(np.log(2.0 * np.pi * mix.variances), axis=1)  # (K,)
-    logw = np.where(mix.weights > 0, np.log(np.maximum(mix.weights, 1e-300)),
-                    _LOG_FLOOR)
-    return logw[None, :] - 0.5 * (quad + lognorm[None, :])
-
-
 def _as_batch(x) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -233,26 +209,47 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
     return x, False
 
 
-def log_density(dist: MixtureParams, t: float, x) -> np.ndarray:
-    """log p_t(x); x may be a single point (d,) or a batch (n, d)."""
-    mix = _check_density_ok(dist, t)
-    xb, single = _as_batch(x)
-    out = logsumexp(_log_component_terms(mix, xb), axis=1)
-    return out[0] if single else out
-
-
-def score(dist: MixtureParams, t: float, x) -> np.ndarray:
-    """Exact score grad log p_t(x) via posterior responsibilities.
+def _posterior(dist: MixtureParams, t: float, x: np.ndarray):
+    """The posterior over p_t's components at a batch x of shape (n, d):
+    log p_t(x) (n,), responsibilities (n, K), per-component scores
+    -(x - m_i) / s_i^2 (n, K, d), and p_t itself.
 
     Responsibilities are formed in log space with log-sum-exp, so far-tail
     points do not underflow.
     """
-    mix = _check_density_ok(dist, t)
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    if t == 0.0 and dist.has_degenerate_component:
+        raise DegenerateDensityError(
+            "density is degenerate at t=0 for zero-variance components; "
+            "use t > 0"
+        )
+    mix = marginal_at(dist, t)
+    # log w_i + log N(x; m_i, diag(s_i^2)), shape (n, K)
+    diff = x[:, None, :] - mix.means[None, :, :]          # (n, K, d)
+    quad = np.sum(diff * diff / mix.variances[None, :, :], axis=2)
+    lognorm = np.sum(np.log(2.0 * np.pi * mix.variances), axis=1)  # (K,)
+    logw = np.where(mix.weights > 0, np.log(np.maximum(mix.weights, 1e-300)),
+                    _LOG_FLOOR)
+    logterms = logw[None, :] - 0.5 * (quad + lognorm[None, :])
+    log_p = logsumexp(logterms, axis=1, keepdims=True)
+    resp = np.exp(np.maximum(logterms - log_p, _LOG_FLOOR))
+    grad_i = -diff / mix.variances[None]
+    return log_p[:, 0], resp, grad_i, mix
+
+
+def log_density(dist: MixtureParams, t: float, x) -> np.ndarray:
+    """log p_t(x); x may be a single point (d,) or a batch (n, d)."""
     xb, single = _as_batch(x)
-    logterms = _log_component_terms(mix, xb)              # (n, K)
-    logterms = logterms - logsumexp(logterms, axis=1, keepdims=True)
-    resp = np.exp(np.maximum(logterms, _LOG_FLOOR))       # (n, K)
-    grad_i = -(xb[:, None, :] - mix.means[None, :, :]) / mix.variances[None]
+    out = _posterior(dist, t, xb)[0]
+    return out[0] if single else out
+
+
+def score(dist: MixtureParams, t: float, x) -> np.ndarray:
+    """Exact score grad log p_t(x): the responsibility-weighted mean of
+    the per-component scores."""
+    xb, single = _as_batch(x)
+    _, resp, grad_i, _ = _posterior(dist, t, xb)
     out = np.sum(resp[:, :, None] * grad_i, axis=1)
     return out[0] if single else out
 
@@ -264,12 +261,9 @@ def score_hessian(dist: MixtureParams, t: float, x) -> np.ndarray:
     H = sum_i r_i (g_i g_i^T - diag(1/s_i^2)) - g g^T  with
     g_i the per-component score and g the mixture score.
     """
-    mix = _check_density_ok(dist, t)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    logterms = _log_component_terms(mix, x[None, :])[0]   # (K,)
-    logterms = logterms - logsumexp(logterms)
-    resp = np.exp(np.maximum(logterms, _LOG_FLOOR))       # (K,)
-    grad_i = -(x[None, :] - mix.means) / mix.variances    # (K, d)
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    _, resp, grad_i, mix = _posterior(dist, t, x)
+    resp, grad_i = resp[0], grad_i[0]                     # (K,), (K, d)
     g = resp @ grad_i
     h = -np.diag(resp @ (1.0 / mix.variances))
     h = h + np.einsum("k,ki,kj->ij", resp, grad_i, grad_i)

@@ -24,8 +24,8 @@ from .models import (ConsistencyModel, discretized_cm, estimate_lipschitz,
                      measure_score_error, perturb_cm, perturb_score)
 from .objectives import GradGapPoint, ParametricCM, grad_gap
 from .rng import derive_rng
-from .samplers import (MultistepSchedule, fixed_time_schedule, multistep,
-                       one_step, ou_smooth, ulmc_mean_contraction, ulmc_run)
+from .samplers import (fixed_time_schedule, multistep, one_step, ou_smooth,
+                       ulmc_mean_contraction, ulmc_run)
 from .schedule import TimeGrid, build_grid, uniform_grid
 from .distributions import SampleBatch, score, score_hessian_norm, \
     hessian_bound_bounded_support
@@ -176,9 +176,9 @@ def multistep_contraction(distribution: MixtureParams = _GAUSS_4I,
     cm = perturb_cm(base_cm, eps_cm, pert_seed) if eps_cm > 0 else base_cm
     lf = estimate_lipschitz(cm, distribution, T, 500,
                             int(derive_rng(seed, "lf-seed").integers(2**63)))
-    sched = fixed_time_schedule(grid, lf, n_rounds)
+    times = fixed_time_schedule(grid, lf, n_rounds)
     p_delta = marginal_at(distribution, delta)
-    batches = multistep(cm, sched, n, seed)
+    batches = multistep(cm, times, n, seed)
     w2s = [w2_gaussian_fit(b, p_delta).value for b in batches]
     ratios = [w2s[k] / w2s[k - 1] for k in range(1, len(w2s))]
     plateau_k = None
@@ -191,7 +191,7 @@ def multistep_contraction(distribution: MixtureParams = _GAUSS_4I,
         "rows": [{"k": k + 1, "w2": w2s[k],
                   "ratio": ratios[k - 1] if k >= 1 else None}
                  for k in range(len(w2s))],
-        "t_hat": float(sched.times[-1]) if sched.n_steps > 1 else None,
+        "t_hat": float(times[-1]) if times.shape[0] > 1 else None,
         "lipschitz_hat": lf,
         "one_step_w2": w2s[0],
         "plateau_k": plateau_k,
@@ -214,8 +214,7 @@ def stationary_suite(n: int = 100_000, seed: int = 0) -> dict:
     floor = w2_sliced(fresh_a, ref, seed=seed).value
 
     q1 = one_step(cm, T, n, seed)
-    sched = MultistepSchedule(times=np.array([T, 0.7, 0.7, 0.7]), delta=delta)
-    qk = multistep(cm, sched, n, seed)[-1]
+    qk = multistep(cm, [T, 0.7, 0.7, 0.7], n, seed)[-1]
     q_ou = ou_smooth(q1, 0.05, seed)
     q_ulmc = ulmc_run(score_at_delta, q1, 1.0, 0.005, 200, seed)
 
@@ -233,14 +232,21 @@ def ou_tv_bound_check(m_list: Sequence[float] = (0.1, 0.3, 0.5),
     """Analytic check of the smoothing inequality
     TV(N(0,1) P^tau, N(m,1) P^tau) <= W1 / (2 sqrt(e^{2 tau} - 1)):
     both smoothed laws stay unit-variance with means scaled by e^{-tau},
-    so the left side is computable by quadrature."""
+    so the left side is computable by quadrature.  A pair whose bound or
+    squared smoothed mean overflows double precision is rejected before
+    the quadrature runs."""
     rows = []
     violations = 0
     for m in m_list:
         for tau in tau_list:
             shrink = float(np.exp(-tau))
+            with np.errstate(over="ignore"):     # an inf bound is rejected
+                bound = m / (2.0 * np.sqrt(np.expm1(2.0 * tau)))
+            if not (np.isfinite(bound)
+                    and m * shrink <= np.sqrt(sys.float_info.max)):
+                raise ValueError(f"m={m}, tau={tau}: the bound or the "
+                                 f"squared smoothed mean overflows")
             tv = tv_gaussian_1d(0.0, 1.0, m * shrink, 1.0).value
-            bound = m / (2.0 * np.sqrt(np.expm1(2.0 * tau) ))
             ok = tv <= bound + 1e-6
             violations += 0 if ok else 1
             rows.append({"m": float(m), "tau": float(tau), "tv": tv,
@@ -277,10 +283,10 @@ def ulmc_correction_experiment(shift: float = 0.3, gamma: float = 1.0,
     target = MixtureParams.standard_normal(1)
     score_model = exact_score_model(target)
     x0 = shift + derive_rng(seed, "ulmc-init").standard_normal((n, 1))
-    batch = SampleBatch(points=x0, seed=int(seed), time_tag=0.0)
+    batch = SampleBatch(points=x0, time_tag=0.0)
 
     def fitted_tv(b) -> float:
-        mu, cov = fit_gaussian(b.points if isinstance(b, SampleBatch) else b)
+        mu, cov = fit_gaussian(b)
         return tv_gaussian_1d(float(mu[0]), float(np.sqrt(cov[0, 0])),
                               0.0, 1.0).value
 
@@ -341,9 +347,12 @@ def sample_experiment(distribution: MixtureParams = _GAUSS_4I,
                       n_steps: int = 100, seed: int = 0) -> dict:
     """Points drawn by one sampler from the exact consistency map, or from
     the grid-discretized one when h is given: "one-step", "multistep" on
-    the schedule `times` (default [T, 1, 1, 1]), or one-step followed by
-    OU smoothing ("one-step+ou", tau default 0.05) or by the Langevin
-    corrector ("one-step+ulmc", tau default 0.01)."""
+    the schedule `times` (default [T, 1, 1, 1], each entry in [delta, T]),
+    or one-step followed by OU smoothing ("one-step+ou", tau default 0.05)
+    or by the Langevin corrector ("one-step+ulmc", tau default 0.01)."""
+    if times is not None and not all(delta <= t <= T for t in times):
+        raise ValueError(f"times must lie in [delta, T] = [{delta}, {T}], "
+                         f"got {times}")
     score_model = exact_score_model(distribution)
     cm = exact_cm(distribution, delta) if h is None \
         else discretized_cm(score_model, _grid_for(delta, h, T))
@@ -351,8 +360,7 @@ def sample_experiment(distribution: MixtureParams = _GAUSS_4I,
         batch = one_step(cm, T, n, seed)
     elif sampler == "multistep":
         times = [T, 1.0, 1.0, 1.0] if times is None else times
-        sched = MultistepSchedule(times=np.asarray(times, float), delta=delta)
-        batch = multistep(cm, sched, n, seed)[-1]
+        batch = multistep(cm, times, n, seed)[-1]
     elif sampler == "one-step+ou":
         batch = ou_smooth(one_step(cm, T, n, seed),
                           0.05 if tau is None else tau, seed)

@@ -26,15 +26,6 @@ class MetricReport:
     n_used: int
     std_err: Optional[float] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "method": self.method,
-            "n_used": self.n_used,
-            "std_err": self.std_err,
-        }
-
 
 def _as_points(batch) -> np.ndarray:
     if isinstance(batch, SampleBatch):
@@ -114,20 +105,23 @@ def _sqrtm_psd(a: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
 
+def _bures_w2(mu_a, cov_a, mu_b, cov_b) -> float:
+    """W2 between N(mu_a, cov_a) and N(mu_b, cov_b) via the Bures metric."""
+    root = _sqrtm_psd(cov_b)
+    cross = _sqrtm_psd(root @ cov_a @ root)
+    bures2 = float(np.trace(cov_a) + np.trace(cov_b) - 2.0 * np.trace(cross))
+    w2sq = float(np.sum((mu_a - mu_b) ** 2)) + max(bures2, 0.0)
+    return float(np.sqrt(max(w2sq, 0.0)))
+
+
 def w2_gaussian_fit(batch, ref: MixtureParams) -> MetricReport:
     """W2 between the Gaussian fitted to a batch (full covariance) and a
     single-component diagonal reference, via the Bures metric."""
     if ref.n_components != 1:
         raise ValueError("reference must be a single Gaussian")
     x = _as_points(batch)
-    mu, cov = fit_gaussian(x)
-    ref_cov = np.diag(ref.variances[0])
-    root = _sqrtm_psd(ref_cov)
-    cross = _sqrtm_psd(root @ cov @ root)
-    bures2 = float(np.trace(cov) + np.trace(ref_cov) - 2.0 * np.trace(cross))
-    w2sq = float(np.sum((mu - ref.means[0]) ** 2)) + max(bures2, 0.0)
-    return MetricReport("w2", float(np.sqrt(max(w2sq, 0.0))),
-                        "gaussian-fit-bures", x.shape[0], None)
+    w2 = _bures_w2(*fit_gaussian(x), ref.means[0], np.diag(ref.variances[0]))
+    return MetricReport("w2", w2, "gaussian-fit-bures", x.shape[0], None)
 
 
 def w2_fit_pair(batch_a, batch_b) -> MetricReport:
@@ -135,15 +129,9 @@ def w2_fit_pair(batch_a, batch_b) -> MetricReport:
     via the Bures metric."""
     xa = _as_points(batch_a)
     xb = _as_points(batch_b)
-    mu_a, cov_a = fit_gaussian(xa)
-    mu_b, cov_b = fit_gaussian(xb)
-    root = _sqrtm_psd(cov_b)
-    cross = _sqrtm_psd(root @ cov_a @ root)
-    bures2 = float(np.trace(cov_a) + np.trace(cov_b) - 2.0 * np.trace(cross))
-    w2sq = float(np.sum((mu_a - mu_b) ** 2)) + max(bures2, 0.0)
-    return MetricReport("w2", float(np.sqrt(max(w2sq, 0.0))),
-                        "gaussian-fit-bures", min(xa.shape[0], xb.shape[0]),
-                        None)
+    w2 = _bures_w2(*fit_gaussian(xa), *fit_gaussian(xb))
+    return MetricReport("w2", w2, "gaussian-fit-bures",
+                        min(xa.shape[0], xb.shape[0]), None)
 
 
 def tv_gaussian_1d(m1: float, s1: float, m2: float, s2: float) -> MetricReport:

@@ -8,11 +8,15 @@ injection is exactly linear in eps_target.
 
 Consistency models are built three ways:
   PF flow      -- reference-integrated PF-ODE flow of a score model
-                  (exact_cm applies it to the exact score, empirical_cm
-                  to any score model)
+                  (empirical_cm; exact_cm is empirical_cm of the exact
+                  score model)
   discretized  -- exponential-integrator solver marched down a TimeGrid
                   (the object whose one-step sampling error scales with h)
   perturbed    -- any of the above plus eps * (t - delta) * g(x, t)
+
+Every model records how it was built in its provenance dict, whose
+"kind" names the constructor and which nests the provenance of the model
+it was built from.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import MixtureParams, marginal_at, sample, score
-from .flows import DEFAULT_TOL, consistency_map, exp_integrator_step
+from .flows import consistency_map, exp_integrator_step
 from .rng import derive_rng
 from .schedule import TimeGrid
 
@@ -34,7 +38,6 @@ class ScoreModel:
 
     fn: Callable[[np.ndarray, float], np.ndarray]
     dim: int
-    kind: str
     provenance: dict = field(default_factory=dict)
 
     def __call__(self, x, t: float) -> np.ndarray:
@@ -48,7 +51,6 @@ class ConsistencyModel:
     fn: Callable[[np.ndarray, float], np.ndarray]
     dim: int
     delta: float
-    kind: str
     provenance: dict = field(default_factory=dict)
 
     def __call__(self, x, t: float) -> np.ndarray:
@@ -73,7 +75,6 @@ def exact_score_model(dist: MixtureParams) -> ScoreModel:
     return ScoreModel(
         fn=lambda x, t: score(dist, t, x),
         dim=dist.dim,
-        kind="exact",
         provenance={"kind": "exact"},
     )
 
@@ -87,35 +88,26 @@ def perturb_score(dist: MixtureParams, eps_target: float,
     return ScoreModel(
         fn=lambda x, t: score(dist, t, x) + eps_target * g(x, t),
         dim=dist.dim,
-        kind="perturbed",
         provenance={"kind": "perturbed", "eps_target": eps_target,
                     "seed": int(seed)},
     )
 
 
-def exact_cm(dist: MixtureParams, delta: float,
-             tol: float = DEFAULT_TOL) -> ConsistencyModel:
-    """The PF-ODE flow of the exact score."""
-    score_model = exact_score_model(dist)
+def empirical_cm(score_model: ScoreModel, delta: float) -> ConsistencyModel:
+    """The PF-ODE flow of a score model, integrated by the reference
+    solver."""
     return ConsistencyModel(
-        fn=lambda x, t: consistency_map(score_model, x, t, delta, tol),
-        dim=dist.dim,
-        delta=delta,
-        kind="exact",
-        provenance={"kind": "exact", "tol": tol},
-    )
-
-
-def empirical_cm(score_model: ScoreModel, delta: float,
-                 tol: float = DEFAULT_TOL) -> ConsistencyModel:
-    return ConsistencyModel(
-        fn=lambda x, t: consistency_map(score_model, x, t, delta, tol),
+        fn=lambda x, t: consistency_map(score_model, x, t, delta),
         dim=score_model.dim,
         delta=delta,
-        kind="empirical",
-        provenance={"kind": "empirical", "tol": tol,
+        provenance={"kind": "empirical",
                     "score": dict(score_model.provenance)},
     )
+
+
+def exact_cm(dist: MixtureParams, delta: float) -> ConsistencyModel:
+    """The PF-ODE flow of the exact score."""
+    return empirical_cm(exact_score_model(dist), delta)
 
 
 def discretized_cm(score_model: ScoreModel, grid: TimeGrid) -> ConsistencyModel:
@@ -148,7 +140,6 @@ def discretized_cm(score_model: ScoreModel, grid: TimeGrid) -> ConsistencyModel:
         fn=run,
         dim=score_model.dim,
         delta=delta,
-        kind="discretized",
         provenance={"kind": "discretized", "h": grid.h, "T": grid.T,
                     "delta": delta, "score": dict(score_model.provenance)},
     )
@@ -169,7 +160,6 @@ def perturb_cm(base: ConsistencyModel, eps_target: float,
         fn=lambda x, t: base(x, t) + eps_target * (t - delta) * g(x, t),
         dim=base.dim,
         delta=delta,
-        kind="perturbed",
         provenance={"kind": "perturbed", "eps_target": eps_target,
                     "seed": int(seed), "base": dict(base.provenance)},
     )
@@ -183,8 +173,7 @@ def measure_score_error(model: ScoreModel, dist: MixtureParams,
     worst = 0.0
     for j, t in enumerate(grid.points):
         x = sample(marginal_at(dist, t), n_mc,
-                   derive_rng(seed, "eps-sc", j).integers(2**63),
-                   time_tag=t).points
+                   derive_rng(seed, "eps-sc", j).integers(2**63)).points
         err = model(x, t) - score(dist, t, x)
         worst = max(worst, float(np.sqrt(np.mean(np.sum(err**2, axis=1)))))
     return worst
@@ -203,8 +192,7 @@ def measure_cm_error(cm: ConsistencyModel, score_model: ScoreModel,
     for n in range(pts.shape[0] - 1):
         t_lo, t_hi = pts[n], pts[n + 1]
         x = sample(marginal_at(dist, t_hi), n_mc,
-                   derive_rng(seed, "eps-cm", n).integers(2**63),
-                   time_tag=t_hi).points
+                   derive_rng(seed, "eps-cm", n).integers(2**63)).points
         xhat = exp_integrator_step(score_model, x, t_hi, t_lo)
         gap = cm(x, t_hi) - cm(xhat, t_lo)
         rms = float(np.sqrt(np.mean(np.sum(gap**2, axis=1))))
@@ -213,18 +201,17 @@ def measure_cm_error(cm: ConsistencyModel, score_model: ScoreModel,
 
 
 def estimate_lipschitz(cm: ConsistencyModel, dist: MixtureParams, t: float,
-                       n_pairs: int, seed: int,
-                       radii=(1e-3, 1e-2)) -> float:
+                       n_pairs: int, seed: int) -> float:
     """L_f estimate: max difference quotient over p_t-sampled base points and
-    random unit directions at the given probe radii, floored at 1."""
+    random unit directions at probe radii 1e-3 and 1e-2, floored at 1."""
     if n_pairs < 100:
         raise ValueError("n_pairs must be >= 100")
-    x = sample(marginal_at(dist, t), n_pairs, seed, time_tag=t).points
+    x = sample(marginal_at(dist, t), n_pairs, seed).points
     u = derive_rng(seed, "lipschitz-dirs").standard_normal(x.shape)
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     fx = cm(x, t)
     best = 1.0
-    for r in radii:
+    for r in (1e-3, 1e-2):
         fy = cm(x + r * u, t)
         ratios = np.linalg.norm(fy - fx, axis=1) / r
         best = max(best, float(np.max(ratios)))
@@ -249,7 +236,6 @@ def recover_score(cm: ConsistencyModel, grid: TimeGrid) -> ScoreModel:
     return ScoreModel(
         fn=fn,
         dim=cm.dim,
-        kind="recovered",
         provenance={"kind": "recovered", "t2": t2, "h1": h1,
                     "base": dict(cm.provenance)},
     )

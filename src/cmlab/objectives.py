@@ -50,10 +50,6 @@ class ParametricCM:
     def dim(self) -> int:
         return self.freqs.shape[1]
 
-    @property
-    def n_features(self) -> int:
-        return self.freqs.shape[0]
-
     def with_theta(self, theta: np.ndarray) -> "ParametricCM":
         return replace(self, theta=np.asarray(theta, dtype=float))
 
@@ -171,13 +167,13 @@ def _loss_grads(theta: ParametricCM, t_lo: float, t_hi: float,
 
 
 def grad_gap(theta0: ParametricCM, dist: MixtureParams,
-             score_exact: ScoreModel, dt_list, n_mc: int, seed: int,
-             t_base: float = 0.5, n_chunks: int = 10) -> list[GradGapPoint]:
+             score_exact: ScoreModel, dt_list, n_mc: int,
+             seed: int) -> list[GradGapPoint]:
     """|| grad_theta L_CT - grad_theta L_CD || on two-point grids
-    [t_base, t_base + dt], for each dt, with common random numbers across
+    [0.5, 0.5 + dt], for each dt, with common random numbers across
     objectives and across dt values.  Gradients are the closed-form
-    gradients of the quadratic losses; std errors come from chunked sample
-    means.
+    gradients of the quadratic losses; std errors come from the means of
+    10 sample chunks.
 
     Expected behaviour (verified by the harness fit): the gap shrinks like
     dt^2 when the distillation side uses the exact score.
@@ -185,10 +181,11 @@ def grad_gap(theta0: ParametricCM, dist: MixtureParams,
     dt_list = [float(dt) for dt in dt_list]
     if len(dt_list) < 3 or not all(a > b for a, b in zip(dt_list, dt_list[1:])):
         raise ValueError("dt_list needs >= 3 strictly decreasing values")
+    n_chunks = 10
     out: list[GradGapPoint] = []
     edges = np.linspace(0, n_mc, n_chunks + 1).astype(int)
     for dt in dt_list:
-        times = np.array([t_base, t_base + dt])
+        times = np.array([0.5, 0.5 + dt])
         (cd_pair,) = _pairs(dist, times, n_mc, seed, score_exact)
         (ct_pair,) = _pairs(dist, times, n_mc, seed)
         diff = _loss_grads(theta0, *ct_pair, edges) \

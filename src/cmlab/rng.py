@@ -3,7 +3,7 @@
 Every stochastic operation in the package draws from a stream derived from
 (root seed, operation tag, indices).  Derivation is stable across runs and
 platforms, which is what makes whole experiment reports byte-reproducible
-and lets multistep sampling with K=1 bit-match one-step sampling.
+and lets sweeps share their noise exactly (common random numbers).
 """
 
 from __future__ import annotations

@@ -2,13 +2,11 @@
 underdamped Langevin corrector.
 
 All randomness flows through streams derived from (seed, tag, step index),
-so multistep sampling with a single time bit-matches one-step sampling and
-whole runs are reproducible.
+so whole runs are reproducible.  One-step sampling is round 1 of
+multistep sampling, so the two share their first batch by construction.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -19,65 +17,47 @@ from .rng import derive_rng
 from .schedule import TimeGrid
 
 
-@dataclass(frozen=True)
-class MultistepSchedule:
-    """Times t_{n_1} = T >= t_{n_2} >= ... used by multistep sampling."""
-
-    times: np.ndarray
-    delta: float
-
-    def __post_init__(self):
-        times = np.atleast_1d(np.asarray(self.times, dtype=float))
-        if times.shape[0] < 1:
-            raise ValueError("schedule needs at least one time")
-        if np.any(times < self.delta) or np.any(times > times[0]):
-            raise ValueError("times must lie in [delta, T] with T first")
-        object.__setattr__(self, "times", times)
-
-    @property
-    def n_steps(self) -> int:
-        return self.times.shape[0]
-
-
 def fixed_time_schedule(grid: TimeGrid, lipschitz_f: float,
-                        n_rounds: int) -> MultistepSchedule:
-    """Constant-time multistep schedule: first time T, then the grid point
+                        n_rounds: int) -> np.ndarray:
+    """Constant-time multistep times: first T, then the grid point
     nearest log(2 L_f) + delta repeated (the constructive choice that makes
     the per-round contraction factor about 1/2)."""
     target = np.log(2.0 * max(lipschitz_f, 1.0)) + grid.delta
     t_hat = float(grid.points[np.argmin(np.abs(grid.points - target))])
-    times = np.concatenate([[grid.T], np.full(max(n_rounds - 1, 0), t_hat)])
-    return MultistepSchedule(times=times, delta=grid.delta)
+    return np.concatenate([[grid.T], np.full(max(n_rounds - 1, 0), t_hat)])
 
 
 def one_step(cm: ConsistencyModel, T: float, n: int, seed: int) -> SampleBatch:
-    """f(xi, T) for xi ~ N(0, I_d): the pushforward of the standard normal."""
-    if T < cm.delta:
-        raise ValueError("need T >= delta")
-    xi = derive_rng(seed, "xi", 1).standard_normal((n, cm.dim))
-    return SampleBatch(points=cm(xi, T), seed=int(seed), time_tag=cm.delta)
+    """f(xi, T) for xi ~ N(0, I_d): the pushforward of the standard normal,
+    which is round 1 of multistep."""
+    return multistep(cm, [T], n, seed)[0]
 
 
-def multistep(cm: ConsistencyModel, sched: MultistepSchedule, n: int,
+def multistep(cm: ConsistencyModel, times, n: int,
               seed: int) -> list[SampleBatch]:
-    """Alternating denoising and re-noising:
+    """Alternating denoising and re-noising on times T = t_1 >= t_2 >= ...
+    >= delta, with delta the map's own cm.delta:
     z_1 = f(xi_1, T); u_k = e^{-(t_k - delta)} z_{k-1}
     + sqrt(1 - e^{-2(t_k - delta)}) xi_k; z_k = f(u_k, t_k).
 
-    Returns every intermediate batch q_1..q_K.  With a single time this is
-    bit-identical to one_step under the same seed.
+    Returns every intermediate batch q_1..q_K.
     """
     delta = cm.delta
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if times.shape[0] < 1:
+        raise ValueError("multistep needs at least one time")
+    if np.any(times < delta) or np.any(times > times[0]):
+        raise ValueError("times must lie in [delta, T] with T first")
     xi = derive_rng(seed, "xi", 1).standard_normal((n, cm.dim))
-    z = cm(xi, float(sched.times[0]))
-    out = [SampleBatch(points=z, seed=int(seed), time_tag=delta)]
-    for k, t_k in enumerate(sched.times[1:], start=2):
+    z = cm(xi, float(times[0]))
+    out = [SampleBatch(points=z, time_tag=delta)]
+    for k, t_k in enumerate(times[1:], start=2):
         t_k = float(t_k)
         xi = derive_rng(seed, "xi", k).standard_normal((n, cm.dim))
         shrink = np.exp(-(t_k - delta))
         u = shrink * z + np.sqrt(max(1.0 - shrink**2, 0.0)) * xi
         z = cm(u, t_k)
-        out.append(SampleBatch(points=z, seed=int(seed), time_tag=delta))
+        out.append(SampleBatch(points=z, time_tag=delta))
     return out
 
 
@@ -87,12 +67,12 @@ def ou_smooth(batch: SampleBatch, tau: float, seed: int) -> SampleBatch:
     if tau < 0:
         raise ValueError("tau must be >= 0")
     if tau == 0.0:
-        return SampleBatch(points=batch.points.copy(), seed=int(seed),
+        return SampleBatch(points=batch.points.copy(),
                            time_tag=batch.time_tag)
     xi = derive_rng(seed, "ou-smooth").standard_normal(batch.points.shape)
     shrink = np.exp(-tau)
     pts = shrink * batch.points + np.sqrt(-np.expm1(-2.0 * tau)) * xi
-    return SampleBatch(points=pts, seed=int(seed), time_tag=batch.time_tag)
+    return SampleBatch(points=pts, time_tag=batch.time_tag)
 
 
 def _ulmc_increment_cov(gamma: float, tau: float) -> tuple[float, float, float]:
@@ -127,7 +107,7 @@ def ulmc_run(score_model_at_delta: ScoreModel, batch: SampleBatch,
         raise ValueError("need gamma >= 0 and tau > 0")
     z = batch.points.copy()
     if n_steps == 0:
-        return SampleBatch(points=z, seed=int(seed), time_tag=batch.time_tag)
+        return SampleBatch(points=z, time_tag=batch.time_tag)
     v = derive_rng(seed, "ulmc-v0").standard_normal(z.shape)
 
     if gamma == 0.0:
@@ -136,7 +116,7 @@ def ulmc_run(score_model_at_delta: ScoreModel, batch: SampleBatch,
             s0 = score_model_at_delta(z, t_eval)
             z = z + tau * v + 0.5 * tau**2 * s0
             v = v + tau * s0
-        return SampleBatch(points=z, seed=int(seed), time_tag=batch.time_tag)
+        return SampleBatch(points=z, time_tag=batch.time_tag)
 
     decay = np.exp(-gamma * tau)
     var_z, cov_zv, var_v = _ulmc_increment_cov(gamma, tau)
@@ -155,7 +135,7 @@ def ulmc_run(score_model_at_delta: ScoreModel, batch: SampleBatch,
         eta2 = rng.standard_normal(z.shape)
         z = z_mean + lz * eta1
         v = v_mean + lvz * eta1 + lvv * eta2
-    return SampleBatch(points=z, seed=int(seed), time_tag=batch.time_tag)
+    return SampleBatch(points=z, time_tag=batch.time_tag)
 
 
 def ulmc_mean_contraction(gamma: float, t: float) -> float:

@@ -47,8 +47,7 @@ class TestRhs:
 class TestExpIntegrator:
     def test_zero_score_is_pure_growth(self):
         zero = exact_score_model(MixtureParams.standard_normal(1))
-        zero = type(zero)(fn=lambda x, t: np.zeros_like(x), dim=1,
-                          kind="zero")
+        zero = type(zero)(fn=lambda x, t: np.zeros_like(x), dim=1)
         x = np.array([[2.0]])
         out = exp_integrator_step(zero, x, 1.0, 0.75)
         assert np.allclose(out, np.exp(0.25) * x)

@@ -270,8 +270,18 @@ class TestCliRejects:
          "seed: expected an integer"),
         ("sample", {"sampler": "two-step"}, "sampler: expected one of"),
         ("grid", {"h": None}, "h: expected a number > 0"),
+        ("sample", {"sampler": "multistep", "times": [5.0, 1.0]},
+         "config rejected by sample: times must lie in [delta, T]"),
+        ("sample", {"sampler": "multistep", "h": 0.1, "times": [5.0, 1.0]},
+         "config rejected by sample: times must lie in [delta, T]"),
+        ("sweep", {"kind": "ou-tv", "m_list": [1e300], "tau_list": [1e-300]},
+         "config rejected by ou-tv: m=1e+300, tau=1e-300: "),
+        ("sweep", {"kind": "ou-tv", "m_list": [1e154], "tau_list": [1e-310]},
+         "config rejected by ou-tv: m=1e+154, tau=1e-310: "),
     ], ids=["n-text", "n-one", "sample-foreign-keys", "hessian-foreign-key",
-            "weights-object", "n-bool", "seed-float", "sampler", "grid-null"])
+            "weights-object", "n-bool", "seed-float", "sampler", "grid-null",
+            "times-beyond-T", "times-beyond-T-grid", "ou-tv-square-overflow",
+            "ou-tv-bound-overflow"])
     def test_malformed_config(self, tmp_path, capsys, command, config,
                               message):
         path = tmp_path / "c.json"

@@ -4,9 +4,8 @@ import pytest
 from cmlab.distributions import MixtureParams, SampleBatch, marginal_at
 from cmlab.metrics import w2_gaussian_fit, w2_sliced
 from cmlab.models import ScoreModel, exact_cm, exact_score_model
-from cmlab.samplers import (MultistepSchedule, fixed_time_schedule,
-                            multistep, one_step, ou_smooth,
-                            ulmc_mean_contraction, ulmc_run)
+from cmlab.samplers import (fixed_time_schedule, multistep, one_step,
+                            ou_smooth, ulmc_mean_contraction, ulmc_run)
 from cmlab.schedule import build_grid
 
 
@@ -20,21 +19,26 @@ def s_t(t, var0=4.0):
 
 class TestMultistepSchedule:
     def test_first_entry_must_be_largest(self):
+        cm = exact_cm(wide_gaussian(), 0.01)
         with pytest.raises(ValueError):
-            MultistepSchedule(times=np.array([1.0, 2.0]), delta=0.01)
+            multistep(cm, [1.0, 2.0], 10, 0)
 
     def test_times_must_respect_delta(self):
+        # the map's own delta is the lower end of the schedule
+        cm = exact_cm(wide_gaussian(), 0.01)
         with pytest.raises(ValueError):
-            MultistepSchedule(times=np.array([1.0, 0.001]), delta=0.01)
+            multistep(cm, [1.0, 0.001], 10, 0)
+        with pytest.raises(ValueError):
+            multistep(exact_cm(wide_gaussian(), 0.05), [1.0, 0.02], 10, 0)
 
     def test_fixed_time_schedule_picks_nearest_grid_point(self):
         grid = build_grid(0.01, 0.05, 2.0)
         lf = 2.0
-        sched = fixed_time_schedule(grid, lf, 5)
+        times = fixed_time_schedule(grid, lf, 5)
         target = np.log(2 * lf) + 0.01
         nearest = grid.points[np.argmin(np.abs(grid.points - target))]
-        assert sched.times[0] == pytest.approx(2.0)
-        assert np.allclose(sched.times[1:], nearest)
+        assert times[0] == pytest.approx(2.0)
+        assert np.allclose(times[1:], nearest)
 
 
 class TestOneStep:
@@ -84,18 +88,15 @@ class TestMultistep:
     def test_k1_bitmatches_one_step(self):
         dist = wide_gaussian()
         cm = exact_cm(dist, 0.01)
-        sched = MultistepSchedule(times=np.array([2.0]), delta=0.01)
         a = one_step(cm, 2.0, 200, 42)
-        b = multistep(cm, sched, 200, 42)[0]
+        b = multistep(cm, [2.0], 200, 42)[0]
         assert np.array_equal(a.points, b.points)
 
     def test_stationary_every_round_is_standard_normal(self):
         dist = MixtureParams.standard_normal(2)
         cm = exact_cm(dist, 0.01)
-        sched = MultistepSchedule(times=np.array([2.0, 0.8, 0.8]),
-                                  delta=0.01)
         n = 20_000
-        for batch in multistep(cm, sched, n, 11):
+        for batch in multistep(cm, [2.0, 0.8, 0.8], n, 11):
             assert np.all(np.abs(batch.points.mean(axis=0))
                           <= 5 / np.sqrt(n))
             assert np.all(np.abs(batch.points.var(axis=0) - 1.0)
@@ -104,22 +105,20 @@ class TestMultistep:
     def test_returns_all_rounds(self):
         dist = wide_gaussian()
         cm = exact_cm(dist, 0.01)
-        sched = MultistepSchedule(times=np.array([2.0, 1.0, 1.0, 1.0]),
-                                  delta=0.01)
-        assert len(multistep(cm, sched, 50, 0)) == 4
+        assert len(multistep(cm, [2.0, 1.0, 1.0, 1.0], 50, 0)) == 4
 
 
 class TestOuSmooth:
     def test_tau_zero_is_identity(self):
-        batch = SampleBatch(points=np.random.default_rng(0).normal(size=(50, 2)),
-                            seed=0)
+        batch = SampleBatch(
+            points=np.random.default_rng(0).normal(size=(50, 2)))
         out = ou_smooth(batch, 0.0, 1)
         assert np.array_equal(out.points, batch.points)
 
     def test_preserves_standard_normal(self):
         n = 50_000
         pts = np.random.default_rng(1).standard_normal((n, 2))
-        out = ou_smooth(SampleBatch(points=pts, seed=0), 0.3, 2)
+        out = ou_smooth(SampleBatch(points=pts), 0.3, 2)
         assert np.all(np.abs(out.points.mean(axis=0)) <= 5 / np.sqrt(n))
         assert np.all(np.abs(out.points.var(axis=0) - 1.0)
                       <= 5 * np.sqrt(2.0 / n))
@@ -128,12 +127,12 @@ class TestOuSmooth:
         n = 100_000
         tau = 0.2
         pts = 0.5 + np.random.default_rng(2).standard_normal((n, 1))
-        out = ou_smooth(SampleBatch(points=pts, seed=0), tau, 3)
+        out = ou_smooth(SampleBatch(points=pts), tau, 3)
         assert out.points.mean() == pytest.approx(0.5 * np.exp(-tau),
                                                   abs=5 / np.sqrt(n))
 
     def test_negative_tau_rejected(self):
-        batch = SampleBatch(points=np.zeros((2, 1)), seed=0)
+        batch = SampleBatch(points=np.zeros((2, 1)))
         with pytest.raises(ValueError):
             ou_smooth(batch, -0.1, 0)
 
@@ -143,8 +142,8 @@ class TestUlmc:
         return exact_score_model(MixtureParams.standard_normal(2))
 
     def test_zero_steps_is_identity(self):
-        batch = SampleBatch(points=np.random.default_rng(0).normal(size=(20, 2)),
-                            seed=0, time_tag=0.0)
+        batch = SampleBatch(
+            points=np.random.default_rng(0).normal(size=(20, 2)), time_tag=0.0)
         out = ulmc_run(self._stationary_score(), batch, 1.0, 0.01, 0, 5)
         assert np.array_equal(out.points, batch.points)
 
@@ -152,17 +151,16 @@ class TestUlmc:
         n = 50_000
         tau = 0.02
         pts = np.random.default_rng(1).standard_normal((n, 2))
-        batch = SampleBatch(points=pts, seed=0, time_tag=0.0)
+        batch = SampleBatch(points=pts, time_tag=0.0)
         out = ulmc_run(self._stationary_score(), batch, 1.0, tau, 100, 5)
         var = out.points.var(axis=0)
         assert np.all(var >= 1 - 5 * tau)
         assert np.all(var <= 1 + 5 * tau)
 
     def test_zero_friction_zero_score_is_ballistic(self):
-        zero_score = ScoreModel(fn=lambda x, t: np.zeros_like(x), dim=2,
-                                kind="zero")
+        zero_score = ScoreModel(fn=lambda x, t: np.zeros_like(x), dim=2)
         pts = np.random.default_rng(2).normal(size=(30, 2))
-        batch = SampleBatch(points=pts, seed=0, time_tag=0.0)
+        batch = SampleBatch(points=pts, time_tag=0.0)
         tau, n_steps, seed = 0.1, 7, 9
         out = ulmc_run(zero_score, batch, 0.0, tau, n_steps, seed)
         from cmlab.rng import derive_rng
@@ -170,7 +168,7 @@ class TestUlmc:
         assert np.allclose(out.points, pts + n_steps * tau * v0, atol=1e-12)
 
     def test_invalid_params_rejected(self):
-        batch = SampleBatch(points=np.zeros((2, 2)), seed=0, time_tag=0.0)
+        batch = SampleBatch(points=np.zeros((2, 2)), time_tag=0.0)
         with pytest.raises(ValueError):
             ulmc_run(self._stationary_score(), batch, -1.0, 0.1, 1, 0)
         with pytest.raises(ValueError):
@@ -203,7 +201,7 @@ class TestUlmcMeanContraction:
         # frozen-drift steps of 0.01 follow the continuous mean closely
         n, shift = 20_000, 0.5
         pts = shift + np.random.default_rng(3).standard_normal((n, 1))
-        batch = SampleBatch(points=pts, seed=0, time_tag=0.0)
+        batch = SampleBatch(points=pts, time_tag=0.0)
         out = ulmc_run(exact_score_model(MixtureParams.standard_normal(1)),
                        batch, 1.0, 0.01, 100, 4)
         expected = pts.mean() * ulmc_mean_contraction(1.0, 1.0)
