@@ -3,8 +3,9 @@
 Data distributions are mixtures of axis-aligned Gaussians (zero variance
 entries allowed, so point masses and other bounded-support laws are
 covered).  For this family everything the sampling theory consumes is
-available in closed form: the noised marginal at any time, the score field,
-its Hessian and the support radius.
+available in closed form: the noised marginal at any time, the score field
+and its Hessian.  `ou_forward` is the one forward OU kernel that noises a
+sample; the samplers and the training objectives all call it.
 
 Conventions: the forward process is the standard OU process
 dx = -x dt + sqrt(2) dW, whose marginal at time t of a component
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import logsumexp
@@ -81,13 +81,6 @@ class MixtureParams:
     def has_degenerate_component(self) -> bool:
         return bool(np.any(self.variances == 0.0))
 
-    def support_radius(self) -> float:
-        """Radius R of the smallest origin-centred ball that provably
-        contains the support; infinite unless all variances are 0."""
-        if np.any(self.variances > 0):
-            return np.inf
-        return float(np.max(np.linalg.norm(self.means, axis=1)))
-
     # -- serialization (schema documented in README: weights / means / vars) --
 
     def to_json(self) -> str:
@@ -147,14 +140,9 @@ class MixtureParams:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """An n x d point set.
-
-    time_tag records the diffusion time at which the points are distributed
-    (None when unknown or not applicable).
-    """
+    """An n x d point set."""
 
     points: np.ndarray
-    time_tag: Optional[float] = None
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -163,14 +151,6 @@ class SampleBatch:
         if not np.all(np.isfinite(pts)):
             raise ValueError("batch contains NaN/Inf entries")
         object.__setattr__(self, "points", pts)
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
 
 
 def sample(dist: MixtureParams, n: int, seed: int) -> SampleBatch:
@@ -202,6 +182,13 @@ def marginal_at(dist: MixtureParams, t: float) -> MixtureParams:
     )
 
 
+def ou_forward(x: np.ndarray, tau: float, xi: np.ndarray) -> np.ndarray:
+    """The forward OU kernel over time tau >= 0 driven by the standard
+    normal draws xi: e^{-tau} x + sqrt(1 - e^{-2 tau}) xi, the identity at
+    tau = 0."""
+    return np.exp(-tau) * x + np.sqrt(-np.expm1(-2.0 * tau)) * xi
+
+
 def _as_batch(x) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -227,11 +214,11 @@ def _posterior(dist: MixtureParams, t: float, x: np.ndarray):
     mix = marginal_at(dist, t)
     # log w_i + log N(x; m_i, diag(s_i^2)), shape (n, K)
     diff = x[:, None, :] - mix.means[None, :, :]          # (n, K, d)
-    quad = np.sum(diff * diff / mix.variances[None, :, :], axis=2)
+    sq_dist = np.sum(diff * diff / mix.variances[None, :, :], axis=2)
     lognorm = np.sum(np.log(2.0 * np.pi * mix.variances), axis=1)  # (K,)
     logw = np.where(mix.weights > 0, np.log(np.maximum(mix.weights, 1e-300)),
                     _LOG_FLOOR)
-    logterms = logw[None, :] - 0.5 * (quad + lognorm[None, :])
+    logterms = logw[None, :] - 0.5 * (sq_dist + lognorm[None, :])
     log_p = logsumexp(logterms, axis=1, keepdims=True)
     resp = np.exp(np.maximum(logterms - log_p, _LOG_FLOOR))
     grad_i = -diff / mix.variances[None]

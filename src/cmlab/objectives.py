@@ -11,11 +11,11 @@ each loss quadratic in theta, so its gradient has a closed form.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import MixtureParams
+from .distributions import MixtureParams, ou_forward
 from .flows import exp_integrator_step
 from .models import ScoreModel
 from .rng import derive_rng
@@ -50,9 +50,6 @@ class ParametricCM:
     def dim(self) -> int:
         return self.freqs.shape[1]
 
-    def with_theta(self, theta: np.ndarray) -> "ParametricCM":
-        return replace(self, theta=np.asarray(theta, dtype=float))
-
     def features(self, x: np.ndarray, t: float) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return np.sin(x @ self.freqs.T + self.phases + self.tcoefs * t)
@@ -83,11 +80,6 @@ def _draw(dist: MixtureParams, times: np.ndarray, n_mc: int, seed: int):
     return n_idx, x0, z
 
 
-def _noised(x0: np.ndarray, z: np.ndarray, t: float) -> np.ndarray:
-    shrink = np.exp(-t)
-    return shrink * x0 + np.sqrt(-np.expm1(-2.0 * t)) * z
-
-
 def _ct_coef(t_lo: float, t_hi: float) -> float:
     return -np.expm1(-(t_lo + t_hi)) / np.sqrt(-np.expm1(-2.0 * t_hi))
 
@@ -105,7 +97,7 @@ def _pairs(dist: MixtureParams, times: np.ndarray, n_mc: int, seed: int,
         if not np.any(mask):
             continue
         t_lo, t_hi = float(times[i]), float(times[i + 1])
-        x_hi = _noised(x0[mask], z[mask], t_hi)
+        x_hi = ou_forward(x0[mask], t_hi, z[mask])
         if score_model is None:
             target = np.exp(-t_lo) * x0[mask] + _ct_coef(t_lo, t_hi) * z[mask]
         else:

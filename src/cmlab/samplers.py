@@ -4,6 +4,9 @@ underdamped Langevin corrector.
 All randomness flows through streams derived from (seed, tag, step index),
 so whole runs are reproducible.  One-step sampling is round 1 of
 multistep sampling, so the two share their first batch by construction.
+Re-noising and smoothing both apply `distributions.ou_forward`.  The
+Langevin corrector takes the diffusion time t of the law it corrects
+toward as an argument: a batch carries points only, not a time.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-from .distributions import SampleBatch
+from .distributions import SampleBatch, ou_forward
 from .models import ConsistencyModel, ScoreModel
 from .rng import derive_rng
 from .schedule import TimeGrid
@@ -50,29 +53,21 @@ def multistep(cm: ConsistencyModel, times, n: int,
         raise ValueError("times must lie in [delta, T] with T first")
     xi = derive_rng(seed, "xi", 1).standard_normal((n, cm.dim))
     z = cm(xi, float(times[0]))
-    out = [SampleBatch(points=z, time_tag=delta)]
+    out = [SampleBatch(points=z)]
     for k, t_k in enumerate(times[1:], start=2):
         t_k = float(t_k)
         xi = derive_rng(seed, "xi", k).standard_normal((n, cm.dim))
-        shrink = np.exp(-(t_k - delta))
-        u = shrink * z + np.sqrt(max(1.0 - shrink**2, 0.0)) * xi
-        z = cm(u, t_k)
-        out.append(SampleBatch(points=z, time_tag=delta))
+        z = cm(ou_forward(z, t_k - delta, xi), t_k)
+        out.append(SampleBatch(points=z))
     return out
 
 
 def ou_smooth(batch: SampleBatch, tau: float, seed: int) -> SampleBatch:
-    """One application of the forward OU kernel over time tau:
-    x <- e^{-tau} x + sqrt(1 - e^{-2 tau}) xi."""
+    """One application of the forward OU kernel over time tau."""
     if tau < 0:
         raise ValueError("tau must be >= 0")
-    if tau == 0.0:
-        return SampleBatch(points=batch.points.copy(),
-                           time_tag=batch.time_tag)
     xi = derive_rng(seed, "ou-smooth").standard_normal(batch.points.shape)
-    shrink = np.exp(-tau)
-    pts = shrink * batch.points + np.sqrt(-np.expm1(-2.0 * tau)) * xi
-    return SampleBatch(points=pts, time_tag=batch.time_tag)
+    return SampleBatch(points=ou_forward(batch.points, tau, xi))
 
 
 def _ulmc_increment_cov(gamma: float, tau: float) -> tuple[float, float, float]:
@@ -93,9 +88,12 @@ def _ulmc_increment_cov(gamma: float, tau: float) -> tuple[float, float, float]:
     return var_z, cov_zv, var_v
 
 
-def ulmc_run(score_model_at_delta: ScoreModel, batch: SampleBatch,
-             gamma: float, tau: float, n_steps: int, seed: int) -> SampleBatch:
-    """Underdamped Langevin corrector with frozen-score steps.
+def ulmc_run(score_model: ScoreModel, batch: SampleBatch, gamma: float,
+             tau: float, n_steps: int, seed: int, *, t: float) -> SampleBatch:
+    """Underdamped Langevin corrector with frozen-score steps toward the
+    law whose score is score_model(., t): t is the diffusion time the
+    batch is meant to follow, cm.delta for a consistency-map sample and 0
+    for data.
 
     Velocities are initialised N(0, I).  Each step integrates
     dz = v dt, dv = (s(z_0) - gamma v) dt + sqrt(2 gamma) dW exactly over
@@ -106,17 +104,14 @@ def ulmc_run(score_model_at_delta: ScoreModel, batch: SampleBatch,
     if gamma < 0 or tau <= 0:
         raise ValueError("need gamma >= 0 and tau > 0")
     z = batch.points.copy()
-    if n_steps == 0:
-        return SampleBatch(points=z, time_tag=batch.time_tag)
     v = derive_rng(seed, "ulmc-v0").standard_normal(z.shape)
 
     if gamma == 0.0:
-        t_eval = _delta_time(batch)
         for k in range(n_steps):
-            s0 = score_model_at_delta(z, t_eval)
+            s0 = score_model(z, t)
             z = z + tau * v + 0.5 * tau**2 * s0
             v = v + tau * s0
-        return SampleBatch(points=z, time_tag=batch.time_tag)
+        return SampleBatch(points=z)
 
     decay = np.exp(-gamma * tau)
     var_z, cov_zv, var_v = _ulmc_increment_cov(gamma, tau)
@@ -124,9 +119,8 @@ def ulmc_run(score_model_at_delta: ScoreModel, batch: SampleBatch,
     lz = np.sqrt(var_z)
     lvz = cov_zv / lz
     lvv = np.sqrt(max(var_v - lvz**2, 0.0))
-    t_eval = _delta_time(batch)
     for k in range(n_steps):
-        s0 = score_model_at_delta(z, t_eval)
+        s0 = score_model(z, t)
         drift = s0 / gamma
         z_mean = z + drift * tau + (1.0 - decay) * (v - drift) / gamma
         v_mean = drift + decay * (v - drift)
@@ -135,7 +129,7 @@ def ulmc_run(score_model_at_delta: ScoreModel, batch: SampleBatch,
         eta2 = rng.standard_normal(z.shape)
         z = z_mean + lz * eta1
         v = v_mean + lvz * eta1 + lvv * eta2
-    return SampleBatch(points=z, time_tag=batch.time_tag)
+    return SampleBatch(points=z)
 
 
 def ulmc_mean_contraction(gamma: float, t: float) -> float:
@@ -150,7 +144,3 @@ def ulmc_mean_contraction(gamma: float, t: float) -> float:
         raise ValueError("need gamma >= 0 and t >= 0")
     return float(expm(np.array([[0.0, 1.0], [-1.0, -gamma]]) * t)[0, 0])
 
-
-def _delta_time(batch: SampleBatch) -> float:
-    """Time at which the corrector's score model is evaluated."""
-    return batch.time_tag if batch.time_tag is not None else 0.0

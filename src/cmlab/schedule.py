@@ -41,15 +41,6 @@ class TimeGrid:
     def n_points(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def steps(self) -> np.ndarray:
-        return np.diff(self.points)
-
-    @property
-    def h1(self) -> float:
-        """First (remainder) step t_2 - delta."""
-        return float(self.points[1] - self.points[0])
-
     def to_json(self) -> str:
         return json.dumps(
             {

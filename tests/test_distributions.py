@@ -44,11 +44,6 @@ class TestMixtureParams:
         raw = json.loads(bimodal_1d().to_json())
         assert set(raw) == {"weights", "means", "vars"}
 
-    def test_support_radius_of_circle(self):
-        dist = MixtureParams.circle_point_masses(2.0, 8)
-        assert dist.support_radius() == pytest.approx(2.0)
-        assert dist.has_degenerate_component
-
 
 class TestSample:
     def test_standard_normal_mean_within_clt_band(self):

@@ -84,6 +84,16 @@ class TestRunExperiment:
     def test_ou_tv_has_no_violations(self):
         assert ou_tv_bound_check()["violations"] == 0
 
+    @pytest.mark.parametrize("m, tau", [(1e100, 1e-300), (1e200, 1.0)])
+    def test_ou_tv_of_far_apart_means_is_one(self, tmp_path, capsys, m, tau):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(
+            {"kind": "ou-tv", "m_list": [m], "tau_list": [tau]}))
+        assert main(["sweep", "--config", str(path)]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["result"]["rows"]
+        assert row["tv"] == 1.0
+        assert row["ok"] is True
+
     def test_deterministic_bytes(self):
         cfg = ExperimentConfig.from_dict(
             {"kind": "h-sweep", "h_list": [0.2, 0.1, 0.05],

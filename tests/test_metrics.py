@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import erf
+from scipy.stats import norm
 
 from cmlab.distributions import MixtureParams
 from cmlab.metrics import (tv_gaussian_1d, w2_1d_exact, w2_fit_pair,
@@ -116,7 +118,58 @@ class TestGaussianFit:
         assert val == pytest.approx(0.3 * np.sqrt(2), abs=0.02)
 
 
+def _tv_by_quadrature(m1, s1, m2, s2):
+    """Reference: adaptive quadrature of |p - q| / 2 on a +-12 sigma window,
+    split at the density crossings (roots of a quadratic in x)."""
+    a = 1.0 / s2**2 - 1.0 / s1**2
+    b = 2.0 * (m1 / s1**2 - m2 / s2**2)
+    c = m2**2 / s2**2 - m1**2 / s1**2 + 2.0 * np.log(s2 / s1)
+    if a == 0:
+        pts = [-c / b] if b != 0 else []
+    else:
+        r = np.sqrt(max(b * b - 4 * a * c, 0.0))
+        pts = sorted([(-b - r) / (2 * a), (-b + r) / (2 * a)])
+    lo = min(m1 - 12 * s1, m2 - 12 * s2)
+    hi = max(m1 + 12 * s1, m2 + 12 * s2)
+    knots = [lo] + [p for p in pts if lo < p < hi] + [hi]
+
+    def diff(x):
+        return np.abs(norm.pdf(x, m1, s1) - norm.pdf(x, m2, s2)) / 2.0
+
+    return sum(quad(diff, lo_k, hi_k, epsabs=1e-10, epsrel=1e-8,
+                    limit=200)[0]
+               for lo_k, hi_k in zip(knots[:-1], knots[1:]))
+
+
 class TestTvGaussian1d:
+    def test_matches_quadrature_on_random_pairs(self):
+        # the quadrature asks only for 1e-8 relative accuracy
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            m1, m2 = rng.uniform(-3.0, 3.0, 2)
+            s1, s2 = rng.uniform(0.2, 3.0, 2)
+            assert tv_gaussian_1d(m1, s1, m2, s2).value == pytest.approx(
+                _tv_by_quadrature(m1, s1, m2, s2), abs=1e-6)
+
+    def test_nearly_equal_variances_match_quadrature(self):
+        # fitted Gaussians in the Langevin experiment differ in variance
+        # by ~1e-3, which puts one crossing far out in the tails
+        for s in (1.0 - 1e-3, 1.0 + 1e-6, 1.0 + 1e-12):
+            assert tv_gaussian_1d(0.3, s, 0.0, 1.0).value == pytest.approx(
+                _tv_by_quadrature(0.3, s, 0.0, 1.0), abs=1e-6)
+
+    def test_equal_variances_match_erf(self):
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            m1, m2 = rng.uniform(-5.0, 5.0, 2)
+            s = rng.uniform(0.1, 3.0)
+            expect = erf(abs(m1 - m2) / (2.0 * np.sqrt(2.0) * s))
+            assert abs(tv_gaussian_1d(m1, s, m2, s).value - expect) <= 1e-15
+
+    def test_far_apart_densities_have_tv_one(self):
+        assert tv_gaussian_1d(0.0, 1.0, 1e6, 1.0).value == 1.0
+        assert tv_gaussian_1d(0.0, 1.0, 1e200, 1.0).value == 1.0
+
     def test_equal_parameters_zero(self):
         assert tv_gaussian_1d(0.3, 1.2, 0.3, 1.2).value <= 1e-12
 

@@ -143,16 +143,17 @@ class TestUlmc:
 
     def test_zero_steps_is_identity(self):
         batch = SampleBatch(
-            points=np.random.default_rng(0).normal(size=(20, 2)), time_tag=0.0)
-        out = ulmc_run(self._stationary_score(), batch, 1.0, 0.01, 0, 5)
+            points=np.random.default_rng(0).normal(size=(20, 2)))
+        out = ulmc_run(self._stationary_score(), batch, 1.0, 0.01, 0, 5, t=0.0)
         assert np.array_equal(out.points, batch.points)
 
     def test_stationary_variance_stays_near_one(self):
         n = 50_000
         tau = 0.02
         pts = np.random.default_rng(1).standard_normal((n, 2))
-        batch = SampleBatch(points=pts, time_tag=0.0)
-        out = ulmc_run(self._stationary_score(), batch, 1.0, tau, 100, 5)
+        batch = SampleBatch(points=pts)
+        out = ulmc_run(self._stationary_score(), batch, 1.0, tau, 100, 5,
+                       t=0.0)
         var = out.points.var(axis=0)
         assert np.all(var >= 1 - 5 * tau)
         assert np.all(var <= 1 + 5 * tau)
@@ -160,19 +161,32 @@ class TestUlmc:
     def test_zero_friction_zero_score_is_ballistic(self):
         zero_score = ScoreModel(fn=lambda x, t: np.zeros_like(x), dim=2)
         pts = np.random.default_rng(2).normal(size=(30, 2))
-        batch = SampleBatch(points=pts, time_tag=0.0)
+        batch = SampleBatch(points=pts)
         tau, n_steps, seed = 0.1, 7, 9
-        out = ulmc_run(zero_score, batch, 0.0, tau, n_steps, seed)
+        out = ulmc_run(zero_score, batch, 0.0, tau, n_steps, seed, t=0.0)
         from cmlab.rng import derive_rng
         v0 = derive_rng(seed, "ulmc-v0").standard_normal(pts.shape)
         assert np.allclose(out.points, pts + n_steps * tau * v0, atol=1e-12)
 
     def test_invalid_params_rejected(self):
-        batch = SampleBatch(points=np.zeros((2, 2)), time_tag=0.0)
+        batch = SampleBatch(points=np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            ulmc_run(self._stationary_score(), batch, -1.0, 0.1, 1, 0)
+            ulmc_run(self._stationary_score(), batch, -1.0, 0.1, 1, 0, t=0.0)
         with pytest.raises(ValueError):
-            ulmc_run(self._stationary_score(), batch, 1.0, 0.0, 1, 0)
+            ulmc_run(self._stationary_score(), batch, 1.0, 0.0, 1, 0, t=0.0)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_score_is_evaluated_at_the_given_time(self, gamma):
+        seen = []
+
+        def recording(x, t):
+            seen.append(t)
+            return -x
+
+        batch = SampleBatch(points=np.zeros((3, 2)))
+        ulmc_run(ScoreModel(fn=recording, dim=2), batch, gamma, 0.1, 4, 0,
+                 t=0.37)
+        assert seen == [0.37] * 4
 
 
 class TestUlmcMeanContraction:
@@ -201,9 +215,9 @@ class TestUlmcMeanContraction:
         # frozen-drift steps of 0.01 follow the continuous mean closely
         n, shift = 20_000, 0.5
         pts = shift + np.random.default_rng(3).standard_normal((n, 1))
-        batch = SampleBatch(points=pts, time_tag=0.0)
+        batch = SampleBatch(points=pts)
         out = ulmc_run(exact_score_model(MixtureParams.standard_normal(1)),
-                       batch, 1.0, 0.01, 100, 4)
+                       batch, 1.0, 0.01, 100, 4, t=0.0)
         expected = pts.mean() * ulmc_mean_contraction(1.0, 1.0)
         assert abs(out.points.mean() - expected) <= 4 / np.sqrt(n)
 

@@ -32,7 +32,7 @@ class TestBuildGrid:
             h = rng.uniform(2.5 * delta, 0.5)
             T = h * rng.uniform(2.0, 10.0)
             grid = build_grid(delta, h, T)
-            assert grid.h1 <= delta * (1 + 1e-9)
+            assert grid.points[1] - grid.points[0] <= delta * (1 + 1e-9)
 
     def test_outputs_always_validate(self):
         rng = np.random.default_rng(1)
@@ -45,7 +45,8 @@ class TestBuildGrid:
 
     def test_step_sum_equals_span(self):
         grid = build_grid(0.03, 0.21, 1.7)
-        assert np.sum(grid.steps) == pytest.approx(1.7 - 0.03, abs=1e-12)
+        assert np.sum(np.diff(grid.points)) == pytest.approx(1.7 - 0.03,
+                                                             abs=1e-12)
 
     def test_point_count_formula(self):
         rng = np.random.default_rng(2)
