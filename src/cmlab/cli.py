@@ -5,7 +5,7 @@ points), sweep (run a JSON experiment config), verify (run the acceptance
 suite), gradcheck (CT/CD gradient-gap table).  grid, sample, sweep and
 gradcheck all run through the harness's config loader and dispatcher;
 for every one but sweep the subcommand names the experiment kind.  Exit
-codes: 0 success, 1 validation error, 2 acceptance failure.
+codes: 0 success, 1 usage or validation error, 2 acceptance failure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .harness import (ConfigError, ExperimentConfig, check_seed, emit,
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="PATH", help="JSON config file")
     # other text is kept for check_seed to reject, so that it exits 1
     p.add_argument("--seed", type=lambda s: int(s) if s.isdecimal() else s,
                    default=None, metavar="U64")
@@ -83,12 +82,18 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("grid", "sample", "sweep", "verify", "gradcheck"):
         p = sub.add_parser(name)
         _add_common(p)
+        if name != "verify":        # verify runs its own pinned configs
+            p.add_argument("--config", metavar="PATH",
+                           help="JSON config file")
         p.set_defaults(fn=cmd_verify if name == "verify" else cmd_run)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:       # argparse exits 0 after -h, 2 on misuse
+        return 0 if exc.code == 0 else 1
     try:
         return args.fn(args)
     except (ConfigError, OSError) as exc:

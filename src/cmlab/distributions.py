@@ -4,8 +4,9 @@ Data distributions are mixtures of axis-aligned Gaussians (zero variance
 entries allowed, so point masses and other bounded-support laws are
 covered).  For this family everything the sampling theory consumes is
 available in closed form: the noised marginal at any time, the score field
-and its Hessian.  `ou_forward` is the one forward OU kernel that noises a
-sample; the samplers and the training objectives all call it.
+and its Hessian, returned per row of an (n, d) batch x.  `ou_forward` is
+the one forward OU kernel that noises a sample, and `draw` the one mixture
+draw; the samplers and the training objectives all call them.
 
 Conventions: the forward process is the standard OU process
 dx = -x dt + sqrt(2) dW, whose marginal at time t of a component
@@ -140,31 +141,33 @@ class MixtureParams:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """An n x d point set."""
+    """An n x d point set, n >= 1; any other shape is rejected."""
 
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.shape[0] < 1:
-            raise ValueError("batch must contain at least one point")
+        pts = np.asarray(self.points, dtype=float)
+        if pts.ndim != 2 or pts.shape[0] < 1:
+            raise ValueError(f"need an (n, d) array, n >= 1, not {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("batch contains NaN/Inf entries")
         object.__setattr__(self, "points", pts)
 
 
-def sample(dist: MixtureParams, n: int, seed: int) -> SampleBatch:
-    """Draw n i.i.d. points: component by weight, then a Gaussian draw.
-
-    Same (dist, n, seed) always yields bit-identical batches.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = derive_rng(seed, "mixture-sample")
+def draw(dist: MixtureParams, n: int, rng: np.random.Generator
+         ) -> np.ndarray:
+    """n i.i.d. points (n, d) from rng: the n components by weight, then
+    the n Gaussian draws."""
     comp = rng.choice(dist.n_components, size=n, p=dist.weights)
     eps = rng.standard_normal((n, dist.dim))
-    pts = dist.means[comp] + np.sqrt(dist.variances[comp]) * eps
-    return SampleBatch(points=pts)
+    return dist.means[comp] + np.sqrt(dist.variances[comp]) * eps
+
+
+def sample(dist: MixtureParams, n: int, seed: int) -> SampleBatch:
+    """n >= 1 i.i.d. points drawn from the seed's own stream: the same
+    (dist, n, seed) always yields bit-identical batches."""
+    return SampleBatch(points=draw(dist, n,
+                                   derive_rng(seed, "mixture-sample")))
 
 
 def marginal_at(dist: MixtureParams, t: float) -> MixtureParams:
@@ -187,13 +190,6 @@ def ou_forward(x: np.ndarray, tau: float, xi: np.ndarray) -> np.ndarray:
     normal draws xi: e^{-tau} x + sqrt(1 - e^{-2 tau}) xi, the identity at
     tau = 0."""
     return np.exp(-tau) * x + np.sqrt(-np.expm1(-2.0 * tau)) * xi
-
-
-def _as_batch(x) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
 
 
 def _posterior(dist: MixtureParams, t: float, x: np.ndarray):
@@ -225,43 +221,33 @@ def _posterior(dist: MixtureParams, t: float, x: np.ndarray):
     return log_p[:, 0], resp, grad_i, mix
 
 
-def log_density(dist: MixtureParams, t: float, x) -> np.ndarray:
-    """log p_t(x); x may be a single point (d,) or a batch (n, d)."""
-    xb, single = _as_batch(x)
-    out = _posterior(dist, t, xb)[0]
-    return out[0] if single else out
+def log_density(dist: MixtureParams, t: float, x: np.ndarray) -> np.ndarray:
+    """log p_t(x) (n,) at a batch x (n, d)."""
+    return _posterior(dist, t, x)[0]
 
 
-def score(dist: MixtureParams, t: float, x) -> np.ndarray:
-    """Exact score grad log p_t(x): the responsibility-weighted mean of
-    the per-component scores."""
-    xb, single = _as_batch(x)
-    _, resp, grad_i, _ = _posterior(dist, t, xb)
-    out = np.sum(resp[:, :, None] * grad_i, axis=1)
-    return out[0] if single else out
+def score(dist: MixtureParams, t: float, x: np.ndarray) -> np.ndarray:
+    """Exact score grad log p_t(x) (n, d): the responsibility-weighted
+    mean of the per-component scores."""
+    _, resp, grad_i, _ = _posterior(dist, t, x)
+    return np.sum(resp[:, :, None] * grad_i, axis=1)
 
 
-def score_hessian(dist: MixtureParams, t: float, x) -> np.ndarray:
-    """Exact d x d Hessian of log p_t at a single point x.
+def score_hessian(dist: MixtureParams, t: float, x: np.ndarray) -> np.ndarray:
+    """Exact Hessians of log p_t at a batch x (n, d), one d x d matrix
+    per row: (n, d, d).
 
     Uses the posterior-covariance representation
     H = sum_i r_i (g_i g_i^T - diag(1/s_i^2)) - g g^T  with
-    g_i the per-component score and g the mixture score.
-    """
-    x = np.asarray(x, dtype=float).reshape(1, -1)
+    g_i the per-component score and g the mixture score.  Sums over
+    components are per-row products: a row's Hessian is that of the row
+    alone, bit for bit."""
     _, resp, grad_i, mix = _posterior(dist, t, x)
-    resp, grad_i = resp[0], grad_i[0]                     # (K,), (K, d)
-    g = resp @ grad_i
-    h = -np.diag(resp @ (1.0 / mix.variances))
-    h = h + np.einsum("k,ki,kj->ij", resp, grad_i, grad_i)
-    h = h - np.outer(g, g)
-    return h
-
-
-def score_hessian_norm(dist: MixtureParams, t: float, x) -> float:
-    """Operator norm (largest |eigenvalue|) of the exact score Hessian."""
-    h = score_hessian(dist, t, x)
-    return float(np.max(np.abs(np.linalg.eigvalsh(h))))
+    r = resp[:, None, :]                                  # (n, 1, K)
+    g = np.matmul(r, grad_i)                              # (n, 1, d)
+    h = -np.eye(x.shape[1]) * np.matmul(r, 1.0 / mix.variances)
+    h = h + np.einsum("nk,nki,nkj->nij", resp, grad_i, grad_i)
+    return h - np.swapaxes(g, 1, 2) * g
 
 
 def hessian_bound_bounded_support(radius: float, t: float) -> float:

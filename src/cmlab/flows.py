@@ -7,6 +7,8 @@ it), the one-step exponential integrator (linear part integrated exactly,
 score frozen at the upper time), a high-accuracy adaptive reference
 integrator used as the oracle for consistency maps, and the consistency
 map itself: the reference-integrated flow of a score's PF ODE.
+
+Every x is an (n, d) batch, and so is every field's and map's value.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ def exp_integrator_step(score_model, x, t_hi: float, t_lo: float) -> np.ndarray:
     e^{t_hi - t_lo} x + (e^{t_hi - t_lo} - 1) s(x, t_hi)."""
     if not (0 < t_lo < t_hi):
         raise ValueError(f"need 0 < t_lo < t_hi, got {t_lo}, {t_hi}")
-    x = np.asarray(x, dtype=float)
     growth = np.exp(t_hi - t_lo)
     return growth * x + (growth - 1.0) * score_model(x, t_hi)
 
@@ -56,21 +57,18 @@ def integrate_reference(field: Field, x, t_from: float, t_to: float,
     if not t_to < t_from:
         raise ValueError(f"need t_to < t_from, got {t_from} -> {t_to}")
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    shape = xb.shape
+    shape = x.shape
 
     def rhs(t, y):
         return field(y.reshape(shape), t).ravel()
 
-    sol = solve_ivp(rhs, (t_from, t_to), xb.ravel(), method="RK45",
+    sol = solve_ivp(rhs, (t_from, t_to), x.ravel(), method="RK45",
                     rtol=tol, atol=tol)
     if not sol.success:
         raise StepUnderflowError(
             f"reference integration failed on [{t_to}, {t_from}]: "
             f"{sol.message}")
-    out = sol.y[:, -1].reshape(shape)
-    return out[0] if single else out
+    return sol.y[:, -1].reshape(shape)
 
 
 def consistency_map(score_fn: Field, x, t: float, delta: float,

@@ -6,6 +6,8 @@ The parametric map is f_theta(x, t) = x + (t - delta) * Phi(x, t) theta^T
 with m fixed random sinusoidal features Phi.  The boundary condition
 f_theta(x, delta) = x holds for every theta, and linearity in theta makes
 each loss quadratic in theta, so its gradient has a closed form.
+
+Points are (n, d) batches, and a grid is a 1-d array of increasing times.
 """
 
 from __future__ import annotations
@@ -15,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import MixtureParams, ou_forward
+from .distributions import MixtureParams, draw, ou_forward
 from .flows import exp_integrator_step
 from .models import ScoreModel
 from .rng import derive_rng
-from .schedule import TimeGrid
 
 
 @dataclass(frozen=True)
@@ -51,33 +52,17 @@ class ParametricCM:
         return self.freqs.shape[1]
 
     def features(self, x: np.ndarray, t: float) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         return np.sin(x @ self.freqs.T + self.phases + self.tcoefs * t)
 
-    def __call__(self, x, t: float) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+    def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
         return x + (t - self.delta) * (self.features(x, t) @ self.theta.T)
 
 
 def _times_of(grid) -> np.ndarray:
-    if isinstance(grid, TimeGrid):
-        return grid.points
     times = np.atleast_1d(np.asarray(grid, dtype=float))
     if times.shape[0] < 2 or not np.all(np.diff(times) > 0):
         raise ValueError("grid must contain >= 2 strictly increasing times")
     return times
-
-
-def _draw(dist: MixtureParams, times: np.ndarray, n_mc: int, seed: int):
-    """Common random numbers shared by cd_loss and ct_loss: interval
-    indices, data draws x_0, and forward noise z, all from one stream."""
-    rng = derive_rng(seed, "objective")
-    n_idx = rng.integers(0, times.shape[0] - 1, size=n_mc)
-    comp = rng.choice(dist.n_components, size=n_mc, p=dist.weights)
-    x0 = dist.means[comp] + np.sqrt(dist.variances[comp]) \
-        * rng.standard_normal((n_mc, dist.dim))
-    z = rng.standard_normal((n_mc, dist.dim))
-    return n_idx, x0, z
 
 
 def _ct_coef(t_lo: float, t_hi: float) -> float:
@@ -87,11 +72,15 @@ def _ct_coef(t_lo: float, t_hi: float) -> float:
 def _pairs(dist: MixtureParams, times: np.ndarray, n_mc: int, seed: int,
            score_model: ScoreModel | None = None):
     """Yield (t_lo, t_hi, x_{t_hi}, target) for each grid interval that
-    holds draws, all built from the shared draws of _draw.  The CD target
-    (score_model given) is one exponential-integrator step of x_{t_hi}
-    under the score model; the CT target (score_model None) is
+    holds draws.  cd_loss and ct_loss share the draws (common random
+    numbers): interval indices, data x_0 and noise z, from one stream.
+    The CD target (score_model given) is one exponential-integrator step
+    of x_{t_hi} under the score model; the CT target (score_model None) is
     e^{-t_lo} x_0 + ((1 - e^{-(t_lo + t_hi)}) / sqrt(1 - e^{-2 t_hi})) z."""
-    n_idx, x0, z = _draw(dist, times, n_mc, seed)
+    rng = derive_rng(seed, "objective")
+    n_idx = rng.integers(0, times.shape[0] - 1, size=n_mc)
+    x0 = draw(dist, n_mc, rng)
+    z = rng.standard_normal((n_mc, dist.dim))
     for i in range(times.shape[0] - 1):
         mask = n_idx == i
         if not np.any(mask):

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from cmlab.acceptance import DEFAULT_SEED
 from cmlab.distributions import (DegenerateDensityError, MixtureParams,
-                                 hessian_bound_bounded_support, log_density,
-                                 marginal_at, sample, score, score_hessian,
-                                 score_hessian_norm)
+                                 SampleBatch, hessian_bound_bounded_support,
+                                 log_density, marginal_at, sample, score,
+                                 score_hessian)
+from cmlab.rng import derive_rng
 
 
 def bimodal_1d():
@@ -43,6 +45,19 @@ class TestMixtureParams:
     def test_json_uses_documented_keys(self):
         raw = json.loads(bimodal_1d().to_json())
         assert set(raw) == {"weights", "means", "vars"}
+
+
+class TestSampleBatch:
+    @pytest.mark.parametrize("points", [np.zeros(3), np.zeros((0, 2)),
+                                        np.zeros((2, 2, 2)), 1.0],
+                             ids=["1-d", "no-rows", "3-d", "scalar"])
+    def test_only_a_2d_batch_with_rows_is_accepted(self, points):
+        with pytest.raises(ValueError, match=r"need an \(n, d\) array"):
+            SampleBatch(points=points)
+
+    def test_2d_batch_is_kept_as_floats(self):
+        batch = SampleBatch(points=[[1, 2], [3, 4]])
+        assert batch.points.dtype == float and batch.points.shape == (2, 2)
 
 
 class TestSample:
@@ -114,32 +129,39 @@ class TestScore:
             assert np.allclose(score(dist, t, x), -x)
 
     def test_symmetric_mixture_vanishes_at_origin(self):
-        assert score(bimodal_1d(), 0.3, np.array([0.0])) == pytest.approx(0.0)
+        assert score(bimodal_1d(), 0.3, np.array([[0.0]])) \
+            == pytest.approx(0.0)
 
     def test_single_gaussian_closed_form(self):
         dist = MixtureParams.gaussian([1.0], [4.0])
         t = 0.8
         s2 = 4 * np.exp(-2 * t) + 1 - np.exp(-2 * t)
-        x = np.array([0.7])
+        x = np.array([[0.7]])
         expect = -(x - np.exp(-t) * 1.0) / s2
         assert np.allclose(score(dist, t, x), expect)
 
     def test_degenerate_at_t_zero_raises(self):
         dist = MixtureParams.point_masses([[0.0]])
         with pytest.raises(DegenerateDensityError):
-            score(dist, 0.0, np.array([0.5]))
+            score(dist, 0.0, np.array([[0.5]]))
 
     def test_matches_finite_difference_gradient(self):
         dist = bimodal_1d()
         rng = np.random.default_rng(0)
         step = 1e-5
         for _ in range(20):
-            x = rng.normal(scale=2.0, size=1)
+            x = rng.normal(scale=2.0, size=(1, 1))
             t = rng.uniform(0.1, 2.0)
             fd = (log_density(dist, t, x + step)
                   - log_density(dist, t, x - step)) / (2 * step)
-            s = score(dist, t, x)
+            s = score(dist, t, x)[0]
             assert abs(fd - s) <= 1e-6 * max(1.0, abs(s))
+
+
+def hessian_norms(dist, t, x):
+    """Operator norm (largest |eigenvalue|) of each row's score Hessian."""
+    eig = np.linalg.eigvalsh(score_hessian(dist, t, x))
+    return np.max(np.abs(eig), axis=1)
 
 
 class TestHessian:
@@ -147,14 +169,14 @@ class TestHessian:
         dist = MixtureParams.standard_normal(2)
         rng = np.random.default_rng(1)
         for _ in range(5):
-            x = rng.normal(size=2)
-            assert score_hessian_norm(dist, 0.7, x) == pytest.approx(1.0)
+            x = rng.normal(size=(1, 2))
+            assert hessian_norms(dist, 0.7, x)[0] == pytest.approx(1.0)
 
     def test_single_gaussian_closed_form(self):
         dist = MixtureParams.gaussian(np.zeros(2), 4.0 * np.ones(2))
         t = 0.4
         s2 = 4 * np.exp(-2 * t) + 1 - np.exp(-2 * t)
-        val = score_hessian_norm(dist, t, np.array([0.3, -1.0]))
+        val = hessian_norms(dist, t, np.array([[0.3, -1.0]]))[0]
         assert val == pytest.approx(1.0 / s2, rel=1e-10)
 
     def test_matches_finite_difference_jacobian(self):
@@ -162,12 +184,26 @@ class TestHessian:
         rng = np.random.default_rng(2)
         step = 1e-5
         for _ in range(10):
-            x = rng.normal(scale=2.0, size=1)
+            x = rng.normal(scale=2.0, size=(1, 1))
             t = rng.uniform(0.2, 1.5)
             fd = (score(dist, t, x + step)
                   - score(dist, t, x - step)) / (2 * step)
             hess = score_hessian(dist, t, x)
-            assert abs(fd[0] - hess[0, 0]) <= 1e-4
+            assert abs(fd[0, 0] - hess[0, 0, 0]) <= 1e-4
+
+    def test_batch_is_its_rows_at_criterion_7_points(self):
+        # criterion 7 reports the largest norm over each batch, so its
+        # record must not depend on whether the rows are taken together
+        dist = MixtureParams.circle_point_masses(2.0, 8)
+        for j, t in enumerate((0.1, 0.5, 1.0)):
+            seed = int(derive_rng(DEFAULT_SEED, "hess", j).integers(2**63))
+            x = sample(marginal_at(dist, t), 100, seed).points
+            hess = score_hessian(dist, t, x)
+            assert hess.shape == (100, 2, 2)
+            rows = [score_hessian(dist, t, x[i:i + 1]) for i in range(100)]
+            assert np.array_equal(hess, np.concatenate(rows))
+            assert np.array_equal(np.linalg.eigvalsh(hess),
+                                  [np.linalg.eigvalsh(h) for h in hess])
 
     def test_circle_masses_obey_bounded_support_bound(self):
         dist = MixtureParams.circle_point_masses(2.0, 8)
@@ -175,8 +211,7 @@ class TestHessian:
         for t in (0.1, 0.5, 1.0):
             bound = hessian_bound_bounded_support(2.0, t)
             pts = sample(marginal_at(dist, t), 50, int(rng.integers(2**31)))
-            for x in pts.points:
-                assert score_hessian_norm(dist, t, x) <= bound + 1e-9
+            assert np.all(hessian_norms(dist, t, pts.points) <= bound + 1e-9)
 
     def test_bound_value_at_half(self):
         # e^{-1} * 4 / (1 - e^{-1})^2 + 1 / (1 - e^{-1})

@@ -34,12 +34,13 @@ class TestRhs:
         dist = MixtureParams(np.array([0.5, 0.5]),
                              np.array([[-2.0], [2.0]]),
                              np.array([[0.1], [0.1]]))
-        assert exact_field(dist)(np.array([0.0]), 0.5) == pytest.approx(0.0)
+        assert exact_field(dist)(np.array([[0.0]]), 0.5) \
+            == pytest.approx(0.0)
 
     def test_single_gaussian_closed_form(self):
         dist = wide_gaussian()
         t = 0.6
-        x = np.array([1.4])
+        x = np.array([[1.4]])
         expect = x * (1.0 / s_t(t) ** 2 - 1.0)
         assert np.allclose(exact_field(dist)(x, t), expect)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmlab import harness
+from cmlab import cli, harness
 from cmlab.cli import main
 from cmlab.harness import (ConfigError, ExperimentConfig, emit, fit_loglog,
                            h_sweep_one_step, ou_tv_bound_check, render_csv,
@@ -197,6 +197,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert "fitted slope:" in out
 
+    @pytest.mark.parametrize("argv", [["sample", "--format", "xml"],
+                                      ["grid", "--bogus"], []],
+                             ids=["format-xml", "unknown-flag",
+                                  "no-subcommand"])
+    def test_usage_error_exits_one(self, capsys, argv):
+        # exit 2 means a red acceptance gate, so misuse must not give it
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["grid", "-h"]) == 0
+        assert "--config" in capsys.readouterr().out
+
+    def test_verify_takes_no_config(self, monkeypatch, capsys):
+        # the gate runs its pinned configs; a stub stands in for it, so
+        # that an accepted --config ends at once instead of running it
+        monkeypatch.setattr(cli, "run_all",
+                            lambda seed: {"criteria": [], "all_passed": True})
+        assert main(["verify", "--config", "x.json"]) == 1
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+
 
 _MIXTURE = {"weights": [0.5, 0.5], "means": [[-1.0], [1.0]],
             "vars": [[0.1], [0.1]]}
@@ -288,10 +309,14 @@ class TestCliRejects:
          "config rejected by ou-tv: m=1e+300, tau=1e-300: "),
         ("sweep", {"kind": "ou-tv", "m_list": [1e154], "tau_list": [1e-310]},
          "config rejected by ou-tv: m=1e+154, tau=1e-310: "),
+        # one step of length 1e300 leaves a fitted mean near 1e299, whose
+        # square overflows in the TV's density crossings
+        ("sweep", {"kind": "ulmc-correction", "tau": 1e300, "n_steps": 1,
+                   "n": 10}, "config rejected by ulmc-correction: "),
     ], ids=["n-text", "n-one", "sample-foreign-keys", "hessian-foreign-key",
             "weights-object", "n-bool", "seed-float", "sampler", "grid-null",
             "times-beyond-T", "times-beyond-T-grid", "ou-tv-square-overflow",
-            "ou-tv-bound-overflow"])
+            "ou-tv-bound-overflow", "ulmc-tv-overflow"])
     def test_malformed_config(self, tmp_path, capsys, command, config,
                               message):
         path = tmp_path / "c.json"

@@ -68,6 +68,26 @@ class TestCdLoss:
         assert (l1 - l0) <= 100 * e**2
 
 
+class TestTimes:
+    def test_losses_take_a_time_array_or_list(self):
+        pcm = ParametricCM.create(1, 16, 0, 0.01)
+        sm = exact_score_model(wide())
+        for times in (np.array([0.4, 0.6, 0.8]), [0.4, 0.6, 0.8]):
+            assert cd_loss(pcm, pcm, sm, wide(), times, 500, 2) \
+                == cd_loss(pcm, pcm, sm, wide(), (0.4, 0.6, 0.8), 500, 2)
+            assert ct_loss(pcm, pcm, wide(), times, 500, 2) \
+                == ct_loss(pcm, pcm, wide(), (0.4, 0.6, 0.8), 500, 2)
+
+    @pytest.mark.parametrize("times", [[0.5], [0.7, 0.5], [0.5, 0.5]])
+    def test_losses_reject_fewer_than_two_increasing_times(self, times):
+        pcm = ParametricCM.create(1, 16, 0, 0.01)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ct_loss(pcm, pcm, wide(), times, 500, 2)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            cd_loss(pcm, pcm, exact_score_model(wide()), wide(), times,
+                    500, 2)
+
+
 class TestCtLoss:
     def test_identity_map_stationary_closed_form(self):
         # with f = identity the residual is (e^{-t2}-e^{-t1}) x0 +

@@ -14,3 +14,27 @@ def test_quick_start_runs(capsys):
     exec(compile(block, "README.md#quick-start", "exec"), {})
     printed = capsys.readouterr().out.split()
     assert len(printed) == 1 and 0.0 < float(printed[0]) < 1.0
+
+
+def _schema_table() -> dict:
+    """kind -> the set of backticked keys in its README schema row."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### Config schemas", 1)[1].split("\n#", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 3 or not cells[1].startswith("`"):
+            continue                  # header, rule or text
+        keys = set(re.findall(r"`([^`]+)`", cells[2]))
+        for kind in re.findall(r"`([^`]+)`", cells[0]):
+            table[kind] = keys
+    return table
+
+
+def test_schema_table_lists_each_kinds_keys():
+    from cmlab import harness
+
+    table = _schema_table()
+    assert sorted(table) == sorted(harness._KINDS)
+    for kind in harness._KINDS:
+        assert table[kind] == set(harness._fields(kind)) - {"seed"}, kind
