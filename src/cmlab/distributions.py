@@ -15,7 +15,6 @@ N(mu, diag(s0)) is N(e^{-t} mu, diag(e^{-2t} s0 + 1 - e^{-2t})).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,20 +81,9 @@ class MixtureParams:
     def has_degenerate_component(self) -> bool:
         return bool(np.any(self.variances == 0.0))
 
-    # -- serialization (schema documented in README: weights / means / vars) --
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "weights": self.weights.tolist(),
-                "means": self.means.tolist(),
-                "vars": self.variances.tolist(),
-            }
-        )
-
     @classmethod
-    def from_json(cls, text: str) -> "MixtureParams":
-        obj = json.loads(text)
+    def from_dict(cls, obj: dict) -> "MixtureParams":
+        """A mixture from its JSON object: keys weights, means and vars."""
         unknown = set(obj) - {"weights", "means", "vars"}
         if unknown:
             raise ValueError(f"unknown keys in mixture JSON: {sorted(unknown)}")
@@ -194,8 +182,8 @@ def ou_forward(x: np.ndarray, tau: float, xi: np.ndarray) -> np.ndarray:
 
 def _posterior(dist: MixtureParams, t: float, x: np.ndarray):
     """The posterior over p_t's components at a batch x of shape (n, d):
-    log p_t(x) (n,), responsibilities (n, K), per-component scores
-    -(x - m_i) / s_i^2 (n, K, d), and p_t itself.
+    responsibilities (n, K), per-component scores -(x - m_i) / s_i^2
+    (n, K, d), and p_t itself.
 
     Responsibilities are formed in log space with log-sum-exp, so far-tail
     points do not underflow.
@@ -218,18 +206,13 @@ def _posterior(dist: MixtureParams, t: float, x: np.ndarray):
     log_p = logsumexp(logterms, axis=1, keepdims=True)
     resp = np.exp(np.maximum(logterms - log_p, _LOG_FLOOR))
     grad_i = -diff / mix.variances[None]
-    return log_p[:, 0], resp, grad_i, mix
-
-
-def log_density(dist: MixtureParams, t: float, x: np.ndarray) -> np.ndarray:
-    """log p_t(x) (n,) at a batch x (n, d)."""
-    return _posterior(dist, t, x)[0]
+    return resp, grad_i, mix
 
 
 def score(dist: MixtureParams, t: float, x: np.ndarray) -> np.ndarray:
     """Exact score grad log p_t(x) (n, d): the responsibility-weighted
     mean of the per-component scores."""
-    _, resp, grad_i, _ = _posterior(dist, t, x)
+    resp, grad_i, _ = _posterior(dist, t, x)
     return np.sum(resp[:, :, None] * grad_i, axis=1)
 
 
@@ -242,7 +225,7 @@ def score_hessian(dist: MixtureParams, t: float, x: np.ndarray) -> np.ndarray:
     g_i the per-component score and g the mixture score.  Sums over
     components are per-row products: a row's Hessian is that of the row
     alone, bit for bit."""
-    _, resp, grad_i, mix = _posterior(dist, t, x)
+    resp, grad_i, mix = _posterior(dist, t, x)
     r = resp[:, None, :]                                  # (n, 1, K)
     g = np.matmul(r, grad_i)                              # (n, 1, d)
     h = -np.eye(x.shape[1]) * np.matmul(r, 1.0 / mix.variances)

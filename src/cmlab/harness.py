@@ -387,8 +387,10 @@ def grid_experiment(delta: float = 0.01, h: float = 0.1,
                     T: float = 1.0) -> dict:
     """The cores' time grid at (delta, h, T), one row per point."""
     grid = _grid_for(delta, h, T)
-    rows = [{"index": i, "t": t} for i, t in enumerate(grid.points.tolist())]
-    return {**json.loads(grid.to_json()), "rows": rows}
+    points = grid.points.tolist()
+    return {"delta": grid.delta, "h": grid.h, "T": grid.T,
+            "stage_boundary": grid.stage_boundary, "points": points,
+            "rows": [{"index": i, "t": t} for i, t in enumerate(points)]}
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +436,7 @@ def _check(name: str, value, ann):
     ann = get_args(ann)[0] if get_origin(ann) is Union else ann
     if ann is MixtureParams:
         try:
-            dist = MixtureParams.from_json(json.dumps(value))
+            dist = MixtureParams.from_dict(value)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{name}: expected a mixture object with "
                               f"weights, means and vars ({exc})") from exc

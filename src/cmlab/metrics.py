@@ -1,16 +1,15 @@
 """Distance estimators between sample batches and analytic distributions.
 
-Every estimator returns a MetricReport carrying the value, the method used,
-the sample count, and a rough standard error where one is available, so
-acceptance experiments can report measurement noise alongside the numbers.
-The closed forms (Gaussian W2, and TV between 1-d Gaussians from normal
-CDF differences) are exact to rounding and report a standard error of 0.
+Batches are (n, d): a SampleBatch or a float array of that shape, and any
+other shape is rejected.  Each estimator returns a MetricReport holding
+its value.  The fitted W2 is the Bures distance between Gaussians fitted
+to the batches; the TV between 1-d Gaussians is a closed form from normal
+CDF differences, exact to rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import erf
@@ -21,37 +20,35 @@ from .rng import derive_rng
 
 @dataclass(frozen=True)
 class MetricReport:
-    name: str
     value: float
-    method: str
-    n_used: int
-    std_err: Optional[float] = None
 
 
-def _as_points(batch) -> np.ndarray:
-    if isinstance(batch, SampleBatch):
-        return batch.points
-    return np.asarray(batch, dtype=float)
+def _points(batch) -> np.ndarray:
+    """The points of a SampleBatch, or an array checked as one: (n, d)
+    floats, n >= 1, all finite."""
+    if not isinstance(batch, SampleBatch):
+        batch = SampleBatch(points=batch)
+    return batch.points
+
+
+def _w2_sorted(xp: np.ndarray, xq: np.ndarray) -> float:
+    """Empirical W2 between two 1-d point sets of equal size via the
+    sorted (quantile) coupling."""
+    if xp.shape[0] != xq.shape[0]:
+        raise ValueError("batches must have equal size for the exact coupling")
+    return float(np.sqrt(np.mean((np.sort(xp) - np.sort(xq)) ** 2)))
 
 
 def w2_1d_exact(batch_p, batch_q) -> MetricReport:
     """Exact empirical 1-D Wasserstein-2 via the sorted (quantile) coupling.
 
-    Both batches must be one-dimensional and of equal size.
+    Both batches must be (n, 1) and of equal size.
     """
-    xp = _as_points(batch_p).reshape(-1)
-    xq = _as_points(batch_q).reshape(-1)
-    if xp.shape[0] != xq.shape[0]:
-        raise ValueError("batches must have equal size for the exact coupling")
-    sq = (np.sort(xp) - np.sort(xq)) ** 2
-    w2 = float(np.sqrt(np.mean(sq)))
-    n = sq.shape[0]
-    if w2 > 0:
-        # delta method: std err of sqrt(mean(sq))
-        se = float(np.std(sq) / np.sqrt(n) / (2.0 * w2))
-    else:
-        se = 0.0
-    return MetricReport("w2", w2, "1d-exact", n, se)
+    xp, xq = _points(batch_p), _points(batch_q)
+    if xp.shape[1] != 1 or xq.shape[1] != 1:
+        raise ValueError(f"need (n, 1) batches, not {xp.shape} and "
+                         f"{xq.shape}")
+    return MetricReport(_w2_sorted(xp[:, 0], xq[:, 0]))
 
 
 def w2_sliced(batch_p, batch_q, n_proj: int = 64,
@@ -63,41 +60,31 @@ def w2_sliced(batch_p, batch_q, n_proj: int = 64,
     sqrt(d); callers comparing against analytic W2 values must apply that
     calibration themselves.
     """
-    xp = _as_points(batch_p)
-    xq = _as_points(batch_q)
-    if xp.ndim != 2 or xq.ndim != 2 or xp.shape[1] != xq.shape[1]:
-        raise ValueError("batches must be 2-D with matching dimension")
+    xp, xq = _points(batch_p), _points(batch_q)
+    if xp.shape[1] != xq.shape[1]:
+        raise ValueError("batches must have matching dimension")
     d = xp.shape[1]
     if d == 1:
-        rep = w2_1d_exact(xp, xq)
-        return MetricReport("w2", rep.value, "sliced", rep.n_used, rep.std_err)
+        return w2_1d_exact(xp, xq)
     rng = derive_rng(seed, "sliced-dirs")
     u = rng.standard_normal((n_proj, d))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     vals = np.empty(n_proj)
     for j in range(n_proj):
-        vals[j] = w2_1d_exact(xp @ u[j], xq @ u[j]).value ** 2
-    w2 = float(np.sqrt(np.mean(vals)))
-    se = float(np.std(vals) / np.sqrt(n_proj) / (2.0 * w2)) if w2 > 0 else 0.0
-    return MetricReport("w2", w2, "sliced", min(xp.shape[0], xq.shape[0]), se)
-
-
-def w2_gaussian(p: MixtureParams, q: MixtureParams) -> MetricReport:
-    """Closed-form W2 between two single-component (diagonal) Gaussians."""
-    if p.n_components != 1 or q.n_components != 1:
-        raise ValueError("closed form requires single-component inputs")
-    dmu = p.means[0] - q.means[0]
-    dsig = np.sqrt(p.variances[0]) - np.sqrt(q.variances[0])
-    w2 = float(np.sqrt(np.sum(dmu**2) + np.sum(dsig**2)))
-    return MetricReport("w2", w2, "gaussian-closed-form", 0, 0.0)
+        vals[j] = _w2_sorted(xp @ u[j], xq @ u[j]) ** 2
+    return MetricReport(float(np.sqrt(np.mean(vals))))
 
 
 def fit_gaussian(batch) -> tuple[np.ndarray, np.ndarray]:
-    """Sample mean and full covariance of a batch."""
-    x = _as_points(batch)
-    mu = x.mean(axis=0)
-    cov = np.cov(x, rowvar=False, bias=False)
-    cov = np.atleast_2d(cov)
+    """Sample mean and full covariance of a batch; a batch whose moments
+    overflow double precision is rejected."""
+    x = _points(batch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = x.mean(axis=0)
+        cov = np.atleast_2d(np.cov(x, rowvar=False, bias=False))
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(cov))):
+        raise ValueError("the fitted Gaussian is not finite: the batch's "
+                         "moments overflow")
     return mu, cov
 
 
@@ -120,19 +107,15 @@ def w2_gaussian_fit(batch, ref: MixtureParams) -> MetricReport:
     single-component diagonal reference, via the Bures metric."""
     if ref.n_components != 1:
         raise ValueError("reference must be a single Gaussian")
-    x = _as_points(batch)
-    w2 = _bures_w2(*fit_gaussian(x), ref.means[0], np.diag(ref.variances[0]))
-    return MetricReport("w2", w2, "gaussian-fit-bures", x.shape[0], None)
+    return MetricReport(_bures_w2(*fit_gaussian(batch), ref.means[0],
+                                  np.diag(ref.variances[0])))
 
 
 def w2_fit_pair(batch_a, batch_b) -> MetricReport:
     """W2 between the Gaussians fitted to two batches (full covariances),
     via the Bures metric."""
-    xa = _as_points(batch_a)
-    xb = _as_points(batch_b)
-    w2 = _bures_w2(*fit_gaussian(xa), *fit_gaussian(xb))
-    return MetricReport("w2", w2, "gaussian-fit-bures",
-                        min(xa.shape[0], xb.shape[0]), None)
+    return MetricReport(_bures_w2(*fit_gaussian(batch_a),
+                                  *fit_gaussian(batch_b)))
 
 
 def tv_gaussian_1d(m1: float, s1: float, m2: float, s2: float) -> MetricReport:
@@ -149,7 +132,7 @@ def tv_gaussian_1d(m1: float, s1: float, m2: float, s2: float) -> MetricReport:
     d = 0.5 * (erf((r - m1) / (s1 * np.sqrt(2.0)))
                - erf((r - m2) / (s2 * np.sqrt(2.0))))
     tv = 0.5 * np.sum(np.abs(np.diff(d)))
-    return MetricReport("tv", float(tv), "gaussian-cdf", 0, 0.0)
+    return MetricReport(float(tv))
 
 
 def _gaussian_crossings(m1, s1, m2, s2) -> list[float]:

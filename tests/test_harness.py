@@ -309,8 +309,8 @@ class TestCliRejects:
          "config rejected by ou-tv: m=1e+300, tau=1e-300: "),
         ("sweep", {"kind": "ou-tv", "m_list": [1e154], "tau_list": [1e-310]},
          "config rejected by ou-tv: m=1e+154, tau=1e-310: "),
-        # one step of length 1e300 leaves a fitted mean near 1e299, whose
-        # square overflows in the TV's density crossings
+        # one step of length 1e300 leaves a batch near 1e299, whose
+        # fitted covariance overflows and is rejected by the fit
         ("sweep", {"kind": "ulmc-correction", "tau": 1e300, "n_steps": 1,
                    "n": 10}, "config rejected by ulmc-correction: "),
     ], ids=["n-text", "n-one", "sample-foreign-keys", "hessian-foreign-key",

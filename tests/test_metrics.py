@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -5,8 +7,10 @@ from scipy.special import erf
 from scipy.stats import norm
 
 from cmlab.distributions import MixtureParams
-from cmlab.metrics import (tv_gaussian_1d, w2_1d_exact, w2_fit_pair,
-                           w2_gaussian, w2_gaussian_fit, w2_sliced)
+from cmlab.metrics import (_bures_w2, fit_gaussian, tv_gaussian_1d,
+                           w2_1d_exact, w2_fit_pair, w2_gaussian_fit,
+                           w2_sliced)
+from cmlab.rng import derive_rng
 
 
 class TestW21dExact:
@@ -47,6 +51,26 @@ class TestW21dExact:
         with pytest.raises(ValueError):
             w2_1d_exact(np.zeros((10, 1)), np.zeros((11, 1)))
 
+    def test_multi_column_batch_rejected(self):
+        # flattened, these would be 200 1-d points at distance 1, where
+        # the 2-d W2 is sqrt(2)
+        x = np.random.default_rng(0).normal(size=(100, 2))
+        with pytest.raises(ValueError, match=r"need \(n, 1\) batches"):
+            w2_1d_exact(x, x + 1)
+
+
+class TestPointsContract:
+    @pytest.mark.parametrize("points", [np.zeros(10), np.zeros((0, 2)),
+                                        np.zeros((5, 2, 2))],
+                             ids=["1-d", "no-rows", "3-d"])
+    def test_only_an_nd_batch_is_measured(self, points):
+        ref = np.zeros((10, 2))
+        for measure in (w2_sliced, w2_fit_pair):
+            with pytest.raises(ValueError, match=r"need an \(n, d\) array"):
+                measure(points, ref)
+        with pytest.raises(ValueError, match=r"need an \(n, d\) array"):
+            fit_gaussian(points)
+
 
 class TestW2Sliced:
     def test_identical_zero(self):
@@ -63,6 +87,18 @@ class TestW2Sliced:
         val = w2_sliced(a, b, n_proj=64, seed=2).value
         assert val * np.sqrt(2) == pytest.approx(np.sqrt(2), rel=0.05)
 
+    def test_is_the_rms_of_exact_1d_projections(self):
+        # bit for bit: each projection is an (n, 1) batch for w2_1d_exact
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(1000, 3))
+        b = rng.normal(size=(1000, 3)) * [1.0, 2.0, 0.5]
+        u = derive_rng(11, "sliced-dirs").standard_normal((16, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        vals = np.array([w2_1d_exact((a @ v)[:, None], (b @ v)[:, None])
+                         .value ** 2 for v in u])
+        assert w2_sliced(a, b, n_proj=16, seed=11).value \
+            == float(np.sqrt(np.mean(vals)))
+
     def test_rotation_invariance(self):
         rng = np.random.default_rng(4)
         a = rng.normal(size=(20_000, 2)) * [1.0, 2.0]
@@ -74,34 +110,45 @@ class TestW2Sliced:
         v2 = w2_sliced(a @ R.T, b @ R.T, n_proj=128, seed=5).value
         assert v2 == pytest.approx(v1, rel=0.15)
 
-    def test_method_label(self):
-        x = np.random.default_rng(0).normal(size=(100, 2))
-        assert w2_sliced(x, x, seed=0).method == "sliced"
+
+def bures_diag(mean_a, var_a, mean_b, var_b) -> float:
+    """_bures_w2 between two diagonal Gaussians, given by means and
+    per-coordinate variances."""
+    return _bures_w2(np.asarray(mean_a, float), np.diag(var_a),
+                     np.asarray(mean_b, float), np.diag(var_b))
 
 
 class TestW2Gaussian:
+    """On diagonal covariances the Bures distance reduces to the closed
+    form sqrt(|dmu|^2 + |sqrt(var_a) - sqrt(var_b)|^2)."""
+
     def test_identical_zero(self):
-        p = MixtureParams.standard_normal(2)
-        assert w2_gaussian(p, p).value == 0.0
+        assert bures_diag([0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]) \
+            == 0.0
 
     def test_scale_difference(self):
-        p = MixtureParams.standard_normal(3)
-        q = MixtureParams.gaussian(np.zeros(3), 4.0 * np.ones(3))
-        assert w2_gaussian(p, q).value == pytest.approx(np.sqrt(3))
+        assert bures_diag(np.zeros(3), np.ones(3), np.zeros(3),
+                          4.0 * np.ones(3)) == pytest.approx(np.sqrt(3))
 
     def test_translation_only(self):
-        p = MixtureParams.gaussian([0.0, 0.0], [1.0, 1.0])
-        q = MixtureParams.gaussian([3.0, 4.0], [1.0, 1.0])
-        assert w2_gaussian(p, q).value == pytest.approx(5.0)
+        assert bures_diag([0.0, 0.0], [1.0, 1.0], [3.0, 4.0],
+                          [1.0, 1.0]) == pytest.approx(5.0)
 
     def test_requires_single_component(self):
         two = MixtureParams(np.array([0.5, 0.5]), np.zeros((2, 1)),
                             np.ones((2, 1)))
         with pytest.raises(ValueError):
-            w2_gaussian(two, MixtureParams.standard_normal(1))
+            w2_gaussian_fit(np.zeros((10, 1)), two)
 
 
 class TestGaussianFit:
+    def test_overflowing_moments_rejected_without_warning(self):
+        x = 1e299 * np.random.default_rng(0).standard_normal((10, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                fit_gaussian(x)
+
     def test_fit_against_reference(self):
         n = 200_000
         pts = 2.0 * np.random.default_rng(0).standard_normal((n, 2))

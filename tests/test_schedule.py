@@ -1,11 +1,79 @@
-import json
+import math
 
 import numpy as np
 import pytest
 
-from cmlab.schedule import (GridRangeError, TimeGrid, build_grid,
-                            expected_point_count, grid_diagnostics,
-                            uniform_grid, validate_grid)
+from cmlab.harness import grid_experiment
+from cmlab.schedule import (_REL_TOL, GridRangeError, TimeGrid, build_grid,
+                            uniform_grid)
+
+
+def expected_point_count(delta: float, h: float, T: float) -> int:
+    """Closed-form N for build_grid; documented invariant
+    N = O(T/h + log2(h/delta)).
+
+    Uniform stage: 1 + ceil((T - h)/h) points (one extra when the division
+    leaves a remainder).  Halving stage: all h/2^j with j >= 1 that exceed
+    2*delta, plus the first one at or below 2*delta when it still exceeds
+    delta, plus the final point delta.
+    """
+    tol = _REL_TOL * max(1.0, T) * 4
+    n_full = int(math.floor((T - h) / h + _REL_TOL * 4))
+    n_uniform = n_full + 1
+    if (T - h) - n_full * h > tol:
+        n_uniform += 1
+    n_halving = 0
+    q = h / 2.0
+    while q > 2.0 * delta * (1 + _REL_TOL):
+        n_halving += 1
+        q /= 2.0
+    if q > delta * (1 + _REL_TOL):
+        n_halving += 1
+    return n_uniform + n_halving + 1
+
+
+def grid_diagnostics(grid: TimeGrid) -> list[str]:
+    """List of violated two-stage invariants (empty when the grid is
+    valid)."""
+    out: list[str] = []
+    p = grid.points
+    tol = _REL_TOL * max(1.0, grid.T) * 8
+    if p.ndim != 1 or p.shape[0] < 2:
+        return ["grid must contain at least 2 points"]
+    if not np.all(np.diff(p) > 0):
+        out.append("points are not strictly increasing")
+    if abs(p[0] - grid.delta) > tol:
+        out.append(f"t_1 = {p[0]} != delta = {grid.delta}")
+    if abs(p[-1] - grid.T) > tol:
+        out.append(f"t_N = {p[-1]} != T = {grid.T}")
+    n1 = grid.stage_boundary
+    if not (0 <= n1 < p.shape[0]):
+        return out + [f"stage_boundary {n1} out of range"]
+    if p[n1] > grid.h + tol:
+        out.append(f"t_N1 = {p[n1]} exceeds h = {grid.h}")
+    if p[1] - p[0] > grid.delta + tol:
+        out.append(f"first step {p[1] - p[0]} exceeds delta = {grid.delta}")
+    steps = np.diff(p)
+    # uniform stage: all steps h except possibly the one leaving t_N1
+    for k in range(n1, steps.shape[0]):
+        if k == n1:
+            if steps[k] > grid.h + tol:
+                out.append(f"step {k} after boundary exceeds h")
+        elif abs(steps[k] - grid.h) > tol:
+            out.append(f"uniform-stage step {k} = {steps[k]} != h")
+    # halving stage: each step doubles the previous one, first step exempt
+    for k in range(1, n1 - 1):
+        if abs(steps[k + 1] - 2.0 * steps[k]) > tol:
+            out.append(
+                f"halving-stage step ratio at {k}: "
+                f"{steps[k + 1]} != 2 * {steps[k]}"
+            )
+    return out
+
+
+def validate_grid(grid: TimeGrid) -> bool:
+    """True iff every two-stage invariant holds within 1e-12 tolerance."""
+    return not grid_diagnostics(grid)
 
 
 class TestBuildGrid:
@@ -102,8 +170,10 @@ class TestUniformGrid:
 
 
 def test_json_serialization():
+    # the grid report that `cmlab grid` emits carries the grid's fields
     grid = build_grid(0.05, 0.25, 1.0)
-    raw = json.loads(grid.to_json())
-    assert raw["delta"] == 0.05
-    assert raw["T"] == 1.0
-    assert np.allclose(raw["points"], grid.points)
+    raw = grid_experiment(0.05, 0.25, 1.0)
+    assert (raw["delta"], raw["h"], raw["T"]) == (0.05, 0.25, 1.0)
+    assert raw["stage_boundary"] == grid.stage_boundary
+    assert raw["points"] == grid.points.tolist()
+    assert [r["t"] for r in raw["rows"]] == raw["points"]
