@@ -31,7 +31,6 @@ from .harness import (fit_loglog, gradcheck_experiment, h_sweep_one_step,
 from .samplers import ulmc_mean_contraction
 
 import numpy as np
-from scipy.stats import norm
 
 DEFAULT_SEED = 20240 + 817
 
@@ -155,8 +154,12 @@ def _fitted_tv_se(m: float, n: int) -> float:
     """Delta-method standard error of TV(N(mu, s^2), N(0, 1)) with mu and
     s fitted to n draws of N(m, 1).  At (m, 1) the TV's gradient in
     (mu, s) is phi(m/2) (1, -m/2), and the fitted mean and sd have
-    variances 1/n and 1/(2n)."""
-    return float(norm.pdf(m / 2.0) * np.sqrt((1.0 + m * m / 8.0) / n))
+    variances 1/n and 1/(2n).  phi is evaluated on an array, as
+    scipy.stats.norm.pdf does, whose bits it then matches: numpy's scalar
+    exp can differ from its array exp in the last bit."""
+    x = np.asarray(m / 2.0)
+    phi = np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)
+    return float(phi * np.sqrt((1.0 + m * m / 8.0) / n))
 
 
 def ulmc_tv_check(ratio: float, shift: float, gamma: float, t: float,
@@ -199,38 +202,30 @@ def criterion_10(seed: int) -> CriterionResult:
     return CriterionResult(10, "Langevin TV correction", ok, details)
 
 
-def criterion_11(seed: int) -> CriterionResult:
-    """The combined report is a pure function of the seed: two full runs
-    of the measured criteria serialize to identical bytes."""
-    return _two_passes(seed)[-1]
-
-
 _MEASURED = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
              criterion_6, criterion_7, criterion_8, criterion_9, criterion_10]
 
 
-def _run_measured(seed: int) -> list[CriterionResult]:
-    return [fn(seed) for fn in _MEASURED]
-
-
 def run_criterion(number: int, seed: int = DEFAULT_SEED) -> CriterionResult:
+    """Criterion 11 is the determinism check: whether two full runs of
+    the measured criteria serialize to identical bytes."""
     if number == 11:
-        return criterion_11(seed)
+        return _two_passes(seed)[-1]
     if not 1 <= number <= 10:
         raise ValueError("criterion number must be in 1..11")
     return _MEASURED[number - 1](seed)
 
 
-def render_report(results: list[CriterionResult]) -> str:
-    return render_json({"criteria": [r.to_dict() for r in results],
-                        "all_passed": all(r.passed for r in results)})
+def _report(results: list[CriterionResult]) -> dict:
+    return {"criteria": [r.to_dict() for r in results],
+            "all_passed": all(r.passed for r in results)}
 
 
 def _two_passes(seed: int) -> list[CriterionResult]:
     """Criteria 1-10 from the first of two full runs, then criterion 11:
     whether the two runs' reports are identical bytes."""
-    first = _run_measured(seed)
-    identical = render_report(first) == render_report(_run_measured(seed))
+    first, second = [[fn(seed) for fn in _MEASURED] for _ in range(2)]
+    identical = render_json(_report(first)) == render_json(_report(second))
     return first + [CriterionResult(11, "report determinism", identical,
                                     {"identical": identical})]
 
@@ -238,7 +233,4 @@ def _two_passes(seed: int) -> list[CriterionResult]:
 def run_all(seed: int = DEFAULT_SEED) -> dict:
     """Run criteria 1-10 twice (the second pass feeds the determinism
     check) and return the combined report dict."""
-    results = _two_passes(seed)
-    return {"seed": seed,
-            "criteria": [r.to_dict() for r in results],
-            "all_passed": all(r.passed for r in results)}
+    return {"seed": seed, **_report(_two_passes(seed))}

@@ -108,23 +108,19 @@ class MixtureParams:
         return cls.gaussian(np.zeros(dim), np.ones(dim))
 
     @classmethod
-    def point_masses(cls, points, weights=None) -> "MixtureParams":
+    def point_masses(cls, points) -> "MixtureParams":
+        """Equally weighted point masses, one per row of points."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         k = points.shape[0]
-        if weights is None:
-            weights = np.full(k, 1.0 / k)
-        return cls(np.asarray(weights, float), points, np.zeros_like(points))
+        return cls(np.full(k, 1.0 / k), points, np.zeros_like(points))
 
     @classmethod
-    def circle_point_masses(cls, radius: float, k: int, dim: int = 2
-                            ) -> "MixtureParams":
-        """k equally weighted point masses on a circle of the given radius,
-        embedded in the first two coordinates."""
+    def circle_point_masses(cls, radius: float, k: int) -> "MixtureParams":
+        """k equally weighted point masses on a circle of the given radius
+        in the plane."""
         angles = 2 * np.pi * np.arange(k) / k
-        pts = np.zeros((k, dim))
-        pts[:, 0] = radius * np.cos(angles)
-        pts[:, 1] = radius * np.sin(angles)
-        return cls.point_masses(pts)
+        return cls.point_masses(
+            radius * np.stack([np.cos(angles), np.sin(angles)], axis=1))
 
 
 @dataclass(frozen=True)
@@ -163,8 +159,6 @@ def marginal_at(dist: MixtureParams, t: float) -> MixtureParams:
     variance entry becomes e^{-2t} s0 + (1 - e^{-2t})."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    if t == 0.0:
-        return dist
     decay = np.exp(-2.0 * t)
     return MixtureParams(
         weights=dist.weights,

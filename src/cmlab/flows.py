@@ -4,11 +4,11 @@ The backward PF ODE for the OU forward process is
 dx/dt = -x - grad log p_t(x).  This module provides the field of that ODE
 for any score callable s(x, t) (the exact mixture score or a model of
 it), the one-step exponential integrator (linear part integrated exactly,
-score frozen at the upper time), a high-accuracy adaptive reference
-integrator used as the oracle for consistency maps, and the consistency
-map itself: the reference-integrated flow of a score's PF ODE.
+score frozen at the upper time), and a high-accuracy adaptive reference
+integrator, whose flow of a score's field is the consistency map of
+`models.empirical_cm` and the oracle for the others.
 
-Every x is an (n, d) batch, and so is every field's and map's value.
+Every x is an (n, d) batch, and so is every field's and step's value.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 DEFAULT_TOL = 1e-10
-_MIN_STEP = 1e-12
 
 Field = Callable[[np.ndarray, float], np.ndarray]
 
@@ -70,17 +69,3 @@ def integrate_reference(field: Field, x, t_from: float, t_to: float,
             f"{sol.message}")
     return sol.y[:, -1].reshape(shape)
 
-
-def consistency_map(score_fn: Field, x, t: float, delta: float,
-                    tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Consistency map of the PF ODE of a score callable s(x, t): the
-    backward flow of x from t to delta.
-
-    Identity at t = delta by construction.
-    """
-    if t < delta:
-        raise ValueError(f"need t >= delta, got t={t}, delta={delta}")
-    x = np.asarray(x, dtype=float)
-    if t <= delta * (1 + 1e-14) or t - delta < _MIN_STEP:
-        return x.copy()
-    return integrate_reference(pf_field(score_fn), x, t, delta, tol)

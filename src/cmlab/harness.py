@@ -25,7 +25,7 @@ from .models import (discretized_cm, estimate_lipschitz, exact_cm,
                      exact_score_model, measure_cm_error, measure_score_error,
                      perturb_cm, perturb_score)
 from .objectives import ParametricCM, grad_gap
-from .rng import derive_rng
+from .rng import derive_rng, derive_seed
 from .samplers import (fixed_time_schedule, multistep, one_step, ou_smooth,
                        ulmc_mean_contraction, ulmc_run)
 from .schedule import TimeGrid, build_grid, uniform_grid
@@ -137,7 +137,7 @@ def eps_sweep_one_step(distribution: MixtureParams = _GAUSS_4I,
     base_batch = one_step(base_cm, T, n, seed)
     base_err = w2_gaussian_fit(base_batch, p_delta).value
 
-    pert_seed = int(derive_rng(seed, "inject-seed").integers(2**63))
+    pert_seed = derive_seed(seed, "inject-seed")
     rows = []
     for eps in eps_list:
         eps = float(eps)
@@ -172,10 +172,10 @@ def multistep_contraction(distribution: MixtureParams = _GAUSS_4I,
     grid = _grid_for(delta, h, T)
     exact = exact_score_model(distribution)
     base_cm = discretized_cm(exact, grid)
-    pert_seed = int(derive_rng(seed, "inject-seed").integers(2**63))
+    pert_seed = derive_seed(seed, "inject-seed")
     cm = perturb_cm(base_cm, eps_cm, pert_seed) if eps_cm > 0 else base_cm
     lf = estimate_lipschitz(cm, distribution, T, 500,
-                            int(derive_rng(seed, "lf-seed").integers(2**63)))
+                            derive_seed(seed, "lf-seed"))
     times = fixed_time_schedule(grid, lf, n_rounds)
     p_delta = marginal_at(distribution, delta)
     batches = multistep(cm, times, n, seed)
@@ -260,8 +260,7 @@ def hessian_bound_check(seed: int = 0) -> dict:
     violations = 0
     for j, t in enumerate((0.1, 0.5, 1.0)):
         pt = marginal_at(dist, float(t))
-        x = sample(pt, 100,
-                   int(derive_rng(seed, "hess", j).integers(2**63))).points
+        x = sample(pt, 100, derive_seed(seed, "hess", j)).points
         hess = score_hessian(dist, float(t), x)
         norms = np.max(np.abs(np.linalg.eigvalsh(hess)), axis=1)
         bound = hessian_bound_bounded_support(radius, float(t))
@@ -316,7 +315,7 @@ def score_recovery_experiment(seed: int = 0) -> dict:
 
     dist = MixtureParams.gaussian([0.0], [4.0])
     grid = build_grid(0.01, 0.1, 1.0)
-    pert_seed = int(derive_rng(seed, "inject-seed").integers(2**63))
+    pert_seed = derive_seed(seed, "inject-seed")
     sm = perturb_score(dist, 0.1, pert_seed)
     cm = empirical_cm(sm, grid.delta)
     eps_sc_hat = measure_score_error(sm, dist, grid, 400, seed)
@@ -325,7 +324,7 @@ def score_recovery_experiment(seed: int = 0) -> dict:
     recovered = recover_score(cm, grid)
     t2 = float(grid.points[1])
     x = sample(marginal_at(dist, t2), 300,
-               int(derive_rng(seed, "recovery-eval").integers(2**63))).points
+               derive_seed(seed, "recovery-eval")).points
     err = recovered(x, t2) - score(dist, t2, x)
     l2_err = float(np.sqrt(np.mean(np.sum(err**2, axis=1))))
     budget = float(np.sqrt(eps_cm_hat**2 + eps_sc_hat**2))
@@ -378,9 +377,9 @@ def gradcheck_experiment(dt_list: Sequence[float] = (0.2, 0.1, 0.05),
     dist = MixtureParams.gaussian(np.zeros(1), 4.0 * np.ones(1))
     theta0 = 0.1 * derive_rng(seed, "theta0").standard_normal((1, 32))
     pcm = ParametricCM.create(1, 32, seed, 0.01, theta=theta0)
-    pts = grad_gap(pcm, dist, exact_score_model(dist), dt_list, n_mc, seed)
-    fit = fit_loglog([p.dt for p in pts], [p.gap for p in pts])
-    return {"rows": [p.to_dict() for p in pts], "fit": fit.to_dict()}
+    rows = grad_gap(pcm, dist, exact_score_model(dist), dt_list, n_mc, seed)
+    fit = fit_loglog([r["dt"] for r in rows], [r["gap"] for r in rows])
+    return {"rows": rows, "fit": fit.to_dict()}
 
 
 def grid_experiment(delta: float = 0.01, h: float = 0.1,

@@ -13,6 +13,8 @@ Consistency models are built three ways:
   discretized  -- exponential-integrator solver marched down a TimeGrid
                   (the object whose one-step sampling error scales with h)
   perturbed    -- any of the above plus eps * (t - delta) * g(x, t)
+Each only maps times above delta: `ConsistencyModel` itself enforces the
+boundary condition f(x, delta) = x for all three, and rejects t < delta.
 
 Every model records how it was built in its provenance dict, whose
 "kind" names the constructor and which nests the provenance of the model
@@ -27,9 +29,12 @@ from typing import Callable
 import numpy as np
 
 from .distributions import MixtureParams, marginal_at, sample, score
-from .flows import consistency_map, exp_integrator_step
-from .rng import derive_rng
+from .flows import exp_integrator_step, integrate_reference, pf_field
+from .rng import derive_rng, derive_seed
 from .schedule import TimeGrid
+
+# |t - delta| within which a consistency model is at its boundary time
+_BOUNDARY_TOL = 1e-12
 
 
 @dataclass
@@ -46,7 +51,10 @@ class ScoreModel:
 
 @dataclass
 class ConsistencyModel:
-    """Deterministic map f(x, t) -> point at time delta; f(x, delta) = x."""
+    """Deterministic map f(x, t) -> point at time delta; f(x, delta) = x.
+
+    fn is called only for t above delta: within _BOUNDARY_TOL of delta the
+    model returns a copy of x, and below that it raises ValueError."""
 
     fn: Callable[[np.ndarray, float], np.ndarray]
     dim: int
@@ -54,7 +62,13 @@ class ConsistencyModel:
     provenance: dict = field(default_factory=dict)
 
     def __call__(self, x, t: float) -> np.ndarray:
-        return self.fn(np.asarray(x, dtype=float), t)
+        x = np.asarray(x, dtype=float)
+        if t < self.delta - _BOUNDARY_TOL:
+            raise ValueError(f"need t >= delta, got t={t}, "
+                             f"delta={self.delta}")
+        if t <= self.delta + _BOUNDARY_TOL:
+            return x.copy()
+        return self.fn(x, t)
 
 
 class _SineField:
@@ -97,7 +111,8 @@ def empirical_cm(score_model: ScoreModel, delta: float) -> ConsistencyModel:
     """The PF-ODE flow of a score model, integrated by the reference
     solver."""
     return ConsistencyModel(
-        fn=lambda x, t: consistency_map(score_model, x, t, delta),
+        fn=lambda x, t: integrate_reference(pf_field(score_model), x, t,
+                                            delta),
         dim=score_model.dim,
         delta=delta,
         provenance={"kind": "empirical",
@@ -115,26 +130,19 @@ def discretized_cm(score_model: ScoreModel, grid: TimeGrid) -> ConsistencyModel:
     the grid from t to delta.
 
     For t between grid points the first step goes to the largest grid point
-    below t.  Satisfies the boundary condition and, at grid times, zero
-    per-interval consistency error by construction.
+    below t; a grid point within tol of t is skipped.  Zero per-interval
+    consistency error at grid times by construction.
     """
     pts = grid.points
     delta = grid.delta
     tol = 1e-12 * max(1.0, grid.T)
+    inner = pts[pts > delta]
 
     def run(x: np.ndarray, t: float) -> np.ndarray:
-        if t < delta - tol:
-            raise ValueError(f"need t >= delta, got t={t}")
-        if t <= delta + tol:
-            return np.asarray(x, dtype=float).copy()
-        below = pts[pts < t - tol]
-        times = [t] + below[::-1].tolist()
-        if abs(times[-1] - delta) > tol:
-            times.append(delta)
-        out = np.asarray(x, dtype=float)
+        times = [t] + inner[inner < t - tol][::-1].tolist() + [delta]
         for hi, lo in zip(times[:-1], times[1:]):
-            out = exp_integrator_step(score_model, out, hi, lo)
-        return out
+            x = exp_integrator_step(score_model, x, hi, lo)
+        return x
 
     return ConsistencyModel(
         fn=run,
@@ -149,8 +157,9 @@ def perturb_cm(base: ConsistencyModel, eps_target: float,
                seed: int) -> ConsistencyModel:
     """f(x, t) = base(x, t) + eps_target * (t - delta) * g(x, t).
 
-    The (t - delta) factor keeps the boundary condition exact and matches
-    the per-interval scaling of the consistency-error assumption.
+    The (t - delta) factor makes the injection vanish toward the boundary
+    and matches the per-interval scaling of the consistency-error
+    assumption.
     """
     if eps_target < 0:
         raise ValueError("eps_target must be >= 0")
@@ -173,7 +182,7 @@ def measure_score_error(model: ScoreModel, dist: MixtureParams,
     worst = 0.0
     for j, t in enumerate(grid.points):
         x = sample(marginal_at(dist, t), n_mc,
-                   derive_rng(seed, "eps-sc", j).integers(2**63)).points
+                   derive_seed(seed, "eps-sc", j)).points
         err = model(x, t) - score(dist, t, x)
         worst = max(worst, float(np.sqrt(np.mean(np.sum(err**2, axis=1)))))
     return worst
@@ -192,7 +201,7 @@ def measure_cm_error(cm: ConsistencyModel, score_model: ScoreModel,
     for n in range(pts.shape[0] - 1):
         t_lo, t_hi = pts[n], pts[n + 1]
         x = sample(marginal_at(dist, t_hi), n_mc,
-                   derive_rng(seed, "eps-cm", n).integers(2**63)).points
+                   derive_seed(seed, "eps-cm", n)).points
         xhat = exp_integrator_step(score_model, x, t_hi, t_lo)
         gap = cm(x, t_hi) - cm(xhat, t_lo)
         rms = float(np.sqrt(np.mean(np.sum(gap**2, axis=1))))

@@ -123,16 +123,6 @@ def ct_loss(theta: ParametricCM, theta_minus: ParametricCM,
     return _loss(theta, theta_minus, pairs, n_mc)
 
 
-@dataclass(frozen=True)
-class GradGapPoint:
-    dt: float
-    gap: float
-    std_err: float
-
-    def to_dict(self) -> dict:
-        return {"dt": self.dt, "gap": self.gap, "std_err": self.std_err}
-
-
 def _loss_grads(theta: ParametricCM, t_lo: float, t_hi: float,
                 x_hi: np.ndarray, target: np.ndarray,
                 edges: np.ndarray) -> np.ndarray:
@@ -149,12 +139,12 @@ def _loss_grads(theta: ParametricCM, t_lo: float, t_hi: float,
 
 def grad_gap(theta0: ParametricCM, dist: MixtureParams,
              score_exact: ScoreModel, dt_list, n_mc: int,
-             seed: int) -> list[GradGapPoint]:
+             seed: int) -> list[dict]:
     """|| grad_theta L_CT - grad_theta L_CD || on two-point grids
     [0.5, 0.5 + dt], for each dt, with common random numbers across
-    objectives and across dt values.  Gradients are the closed-form
-    gradients of the quadratic losses; std errors come from the means of
-    10 sample chunks.
+    objectives and across dt values: one row {"dt", "gap", "std_err"} per
+    dt.  Gradients are the closed-form gradients of the quadratic losses;
+    std errors come from the means of 10 sample chunks.
 
     Expected behaviour (verified by the harness fit): the gap shrinks like
     dt^2 when the distillation side uses the exact score.
@@ -163,7 +153,7 @@ def grad_gap(theta0: ParametricCM, dist: MixtureParams,
     if len(dt_list) < 3 or not all(a > b for a, b in zip(dt_list, dt_list[1:])):
         raise ValueError("dt_list needs >= 3 strictly decreasing values")
     n_chunks = 10
-    out: list[GradGapPoint] = []
+    out = []
     edges = np.linspace(0, n_mc, n_chunks + 1).astype(int)
     for dt in dt_list:
         times = np.array([0.5, 0.5 + dt])
@@ -179,5 +169,5 @@ def grad_gap(theta0: ParametricCM, dist: MixtureParams,
                 f"grad_gap at dt={dt}: gap {gap:.3e} is within 10x its "
                 f"std error {se:.3e}; treat the fitted slope with caution"
             )
-        out.append(GradGapPoint(dt=dt, gap=gap, std_err=se))
+        out.append({"dt": dt, "gap": gap, "std_err": se})
     return out

@@ -3,7 +3,8 @@
 Every stochastic operation in the package draws from a stream derived from
 (root seed, operation tag, indices).  Derivation is stable across runs and
 platforms, which is what makes whole experiment reports byte-reproducible
-and lets sweeps share their noise exactly (common random numbers).
+and lets sweeps share their noise exactly (common random numbers).  An
+operation that hands a seed on to another takes it from `derive_seed`.
 """
 
 from __future__ import annotations
@@ -32,3 +33,9 @@ def derive_seed_sequence(root_seed: int, *tags) -> np.random.SeedSequence:
 def derive_rng(root_seed: int, *tags) -> np.random.Generator:
     """Independent Generator for the given (root seed, tag path)."""
     return np.random.default_rng(derive_seed_sequence(root_seed, *tags))
+
+
+def derive_seed(root_seed: int, *tags) -> int:
+    """Root seed in [0, 2**63) for a child operation, drawn from the
+    (root seed, tag path) stream."""
+    return int(derive_rng(root_seed, *tags).integers(2**63))

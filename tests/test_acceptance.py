@@ -13,7 +13,10 @@ corrector runs at the wrong friction and a run that does nothing.
 import numpy as np
 import pytest
 
-from cmlab.acceptance import DEFAULT_SEED, run_all, ulmc_tv_check
+from scipy.stats import norm
+
+from cmlab.acceptance import (DEFAULT_SEED, _fitted_tv_se, run_all,
+                              ulmc_tv_check)
 from cmlab.harness import ulmc_correction_experiment
 
 CRITERIA = {
@@ -68,3 +71,14 @@ def test_criterion_10_check_rejects_wrong_corrector(run):
                               res["n"])
     assert not ok, f"{run}: ratio {res['ratio']:.4f} accepted; {check}"
     assert check["margin"] < 0
+
+
+def test_fitted_tv_se_matches_scipy_normal_density_bit_for_bit():
+    # criterion 10's tolerance once took phi from scipy.stats.norm.pdf; the
+    # numpy density replaced it without moving a bit of the report
+    rng = np.random.default_rng(20240817)
+    ms = np.concatenate([rng.uniform(-4.0, 4.0, 5000),
+                         rng.normal(0.0, 0.5, 5000), [0.0, 0.3, 1e-300]])
+    for m in ms.tolist():
+        expect = float(norm.pdf(m / 2.0) * np.sqrt((1.0 + m * m / 8.0) / 7))
+        assert _fitted_tv_se(m, 7) == expect, m

@@ -6,7 +6,7 @@ from cmlab.acceptance import DEFAULT_SEED
 from cmlab.distributions import (DegenerateDensityError, MixtureParams,
                                  SampleBatch, hessian_bound_bounded_support,
                                  marginal_at, sample, score, score_hessian)
-from cmlab.rng import derive_rng
+from cmlab.rng import derive_seed
 
 
 def bimodal_1d():
@@ -207,8 +207,8 @@ class TestHessian:
         # record must not depend on whether the rows are taken together
         dist = MixtureParams.circle_point_masses(2.0, 8)
         for j, t in enumerate((0.1, 0.5, 1.0)):
-            seed = int(derive_rng(DEFAULT_SEED, "hess", j).integers(2**63))
-            x = sample(marginal_at(dist, t), 100, seed).points
+            x = sample(marginal_at(dist, t), 100,
+                       derive_seed(DEFAULT_SEED, "hess", j)).points
             hess = score_hessian(dist, t, x)
             assert hess.shape == (100, 2, 2)
             rows = [score_hessian(dist, t, x[i:i + 1]) for i in range(100)]

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from cmlab.distributions import MixtureParams, marginal_at, sample, score
-from cmlab.flows import (StepUnderflowError, consistency_map,
-                         exp_integrator_step, integrate_reference, pf_field)
+from cmlab.flows import (StepUnderflowError, exp_integrator_step,
+                         integrate_reference, pf_field)
 from cmlab.harness import fit_loglog
-from cmlab.models import exact_score_model, perturb_score
+from cmlab.models import (ScoreModel, empirical_cm, exact_cm,
+                          exact_score_model, perturb_score)
 
 
 def wide_gaussian(d=1):
@@ -21,7 +22,7 @@ def exact_field(dist):
 
 
 def consistency_exact(dist, x, t, delta):
-    return consistency_map(exact_score_model(dist), x, t, delta)
+    return exact_cm(dist, delta)(x, t)
 
 
 class TestRhs:
@@ -133,6 +134,8 @@ class TestReferenceIntegrator:
 
 
 class TestConsistencyMaps:
+    # the consistency maps of `models` that are the reference-integrated
+    # flow of a score's PF ODE: exact_cm and empirical_cm
     def test_stationary_exact_is_identity(self):
         dist = MixtureParams.standard_normal(2)
         x = np.array([[1.0, -1.0]])
@@ -148,7 +151,8 @@ class TestConsistencyMaps:
     def test_boundary_condition(self):
         dist = wide_gaussian()
         x = np.array([[0.8]])
-        assert np.array_equal(consistency_exact(dist, x, 0.05, 0.05), x)
+        out = consistency_exact(dist, x, 0.05, 0.05)
+        assert np.array_equal(out, x) and out is not x
 
     def test_semigroup_property(self):
         dist = wide_gaussian()
@@ -161,10 +165,12 @@ class TestConsistencyMaps:
 
     def test_empirical_with_exact_score_matches_exact(self):
         # the exact score model only converts its input with np.asarray,
-        # so its flow is the flow of the bare exact score, bit for bit
+        # so its flow is the flow of a score model wrapping the bare exact
+        # score, bit for bit
         dist = wide_gaussian()
         x = np.array([[0.9], [-1.3]])
-        a = consistency_map(lambda y, t: score(dist, t, y), x, 1.0, 0.05)
+        bare = ScoreModel(fn=lambda y, t: score(dist, t, y), dim=1)
+        a = empirical_cm(bare, 0.05)(x, 1.0)
         b = consistency_exact(dist, x, 1.0, 0.05)
         assert np.array_equal(a, b)
 
@@ -176,7 +182,7 @@ class TestConsistencyMaps:
         gaps = []
         for eps in eps_list:
             sm = perturb_score(dist, eps, 99)
-            f_em = consistency_map(sm, x, 1.0, 0.05)
+            f_em = empirical_cm(sm, 0.05)(x, 1.0)
             gaps.append(float(np.linalg.norm(f_em - f_ex)))
         fit = fit_loglog(eps_list, gaps)
         assert abs(fit.slope - 1.0) <= 0.15

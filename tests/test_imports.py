@@ -5,6 +5,9 @@ A stand-in for a linter's unused-import rule: it parses each module with
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,16 @@ def test_a_stray_import_is_found():
               "import json\nfrom .rng import derive_rng, derive_seed\n"
               "__all__ = ['derive_seed']\nderive_rng(0)\n")
     assert unused_imports(source) == ["json (line 2)"]
+
+
+def test_no_module_imports_scipy_stats():
+    # scipy.stats is slow and large to import, and no module needs it
+    code = ("import importlib, pkgutil, sys, cmlab\n"
+            "for m in pkgutil.iter_modules(cmlab.__path__):\n"
+            "    importlib.import_module('cmlab.' + m.name)\n"
+            "print([k for k in sys.modules if k.startswith('scipy.stats')])")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ,
+                              "PYTHONPATH": str(SRC.parent)}).stdout
+    assert out.strip() == "[]"

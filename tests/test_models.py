@@ -72,7 +72,7 @@ class TestPerturbCm:
         base = discretized_cm(exact_score_model(dist), grid)
         pert = perturb_cm(base, 0.5, 9)
         x = np.random.default_rng(1).normal(size=(100, 1))
-        assert np.allclose(pert(x, 0.05), x, atol=1e-14)
+        assert np.array_equal(pert(x, 0.05), x)
 
     def test_measured_error_linear_in_target(self):
         dist = wide_gaussian()
@@ -113,15 +113,39 @@ class TestMeasureCmError:
 
 
 class TestBoundary:
-    def test_all_model_kinds_are_identity_at_delta(self):
+    # ConsistencyModel enforces f(x, delta) = x for every kind of model
+    @staticmethod
+    def all_kinds():
         dist = wide_gaussian()
         grid = build_grid(0.05, 0.2, 1.0)
         sm = exact_score_model(dist)
+        return [exact_cm(dist, 0.05),
+                empirical_cm(perturb_score(dist, 0.2, 3), 0.05),
+                discretized_cm(sm, grid),
+                perturb_cm(discretized_cm(sm, grid), 0.3, 4)]
+
+    def test_all_model_kinds_are_identity_at_delta(self):
         x = np.random.default_rng(2).normal(size=(100, 1))
-        for cm in (exact_cm(dist, 0.05), empirical_cm(sm, 0.05),
-                   discretized_cm(sm, grid),
-                   perturb_cm(discretized_cm(sm, grid), 0.3, 4)):
-            assert np.allclose(cm(x, 0.05), x, atol=1e-14)
+        for cm in self.all_kinds():
+            out = cm(x, 0.05)
+            assert np.array_equal(out, x) and out is not x, cm.provenance
+            assert np.array_equal(cm(x.tolist(), 0.05 + 5e-13), x)
+
+    def test_all_model_kinds_reject_times_below_delta(self):
+        x = np.zeros((3, 1))
+        for cm in self.all_kinds():
+            with pytest.raises(ValueError, match="need t >= delta"):
+                cm(x, 0.05 - 1e-9)
+
+    def test_discretized_marches_just_above_the_boundary(self):
+        # past the boundary tolerance but within the march's grid-point
+        # tolerance (1e-12 * T, T = 2), the map takes one tiny step to delta
+        dist = wide_gaussian()
+        grid = build_grid(0.05, 0.2, 2.0)
+        cm = discretized_cm(exact_score_model(dist), grid)
+        x = np.random.default_rng(3).normal(size=(10, 1))
+        out = cm(x, 0.05 + 1.5e-12)
+        assert out is not x and np.allclose(out, x, rtol=0, atol=1e-10)
 
 
 class TestEstimateLipschitz:

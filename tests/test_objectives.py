@@ -131,10 +131,11 @@ class TestGradGap:
         dist = wide()
         theta0 = 0.1 * derive_rng(0, "theta0").standard_normal((1, 32))
         pcm = ParametricCM.create(1, 32, 0, 0.01, theta=theta0)
-        pts = grad_gap(pcm, dist, exact_score_model(dist),
-                       [0.2, 0.1, 0.05], 40_000, 0)
-        xs = np.log([p.dt for p in pts])
-        ys = np.log([p.gap for p in pts])
+        rows = grad_gap(pcm, dist, exact_score_model(dist),
+                        [0.2, 0.1, 0.05], 40_000, 0)
+        assert [set(r) for r in rows] == [{"dt", "gap", "std_err"}] * 3
+        xs = np.log([r["dt"] for r in rows])
+        ys = np.log([r["gap"] for r in rows])
         slope = np.polyfit(xs, ys, 1)[0]
         assert abs(slope - 2.0) <= 0.4
 
@@ -146,8 +147,9 @@ class TestGradGap:
                      20_000, 1)[0]
         b = grad_gap(pcm, dist, exact_score_model(dist), [0.2, 0.1, 0.05],
                      20_000, 2)[0]
-        band = 3 * (a.std_err + b.std_err)
-        assert abs(a.gap - b.gap) <= max(band, 0.3 * max(a.gap, b.gap))
+        band = 3 * (a["std_err"] + b["std_err"])
+        assert abs(a["gap"] - b["gap"]) \
+            <= max(band, 0.3 * max(a["gap"], b["gap"]))
 
     def test_closed_form_gradient_matches_finite_difference(self):
         # grad_gap's per-objective gradient against a central difference of

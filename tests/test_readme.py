@@ -1,6 +1,8 @@
 """The README's Quick-start block runs as written, so a change to the
 API it calls shows here rather than in a reader's first session."""
 
+import inspect
+import json
 import re
 from pathlib import Path
 
@@ -17,7 +19,8 @@ def test_quick_start_runs(capsys):
 
 
 def _schema_table() -> dict:
-    """kind -> the set of backticked keys in its README schema row."""
+    """kind -> {key: default text} from its README schema row, where a
+    row's third cell reads "`key` default, `key` default, ..."."""
     text = README.read_text(encoding="utf-8")
     section = text.split("### Config schemas", 1)[1].split("\n#", 1)[0]
     table = {}
@@ -25,9 +28,10 @@ def _schema_table() -> dict:
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
         if len(cells) != 3 or not cells[1].startswith("`"):
             continue                  # header, rule or text
-        keys = set(re.findall(r"`([^`]+)`", cells[2]))
+        defaults = dict(re.findall(r"`([^`]+)` ([^`]*?)(?:, (?=`)|$)",
+                                   cells[2]))
         for kind in re.findall(r"`([^`]+)`", cells[0]):
-            table[kind] = keys
+            table[kind] = defaults
     return table
 
 
@@ -37,4 +41,19 @@ def test_schema_table_lists_each_kinds_keys():
     table = _schema_table()
     assert sorted(table) == sorted(harness._KINDS)
     for kind in harness._KINDS:
-        assert table[kind] == set(harness._fields(kind)) - {"seed"}, kind
+        assert set(table[kind]) == set(harness._fields(kind)) - {"seed"}, kind
+
+
+def test_schema_table_gives_each_cores_defaults():
+    # a default is written as JSON, except the distribution's, in prose
+    from cmlab import harness
+
+    for kind, defaults in _schema_table().items():
+        params = inspect.signature(harness._KINDS[kind]).parameters
+        for key, text in defaults.items():
+            if key == "distribution":
+                continue
+            default = params[key].default
+            if isinstance(default, tuple):
+                default = list(default)
+            assert json.loads(text) == default, (kind, key, text)
