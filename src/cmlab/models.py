@@ -16,6 +16,18 @@ Consistency models are built three ways:
 Each only maps times above delta: `ConsistencyModel` itself enforces the
 boundary condition f(x, delta) = x for all three, and rejects t < delta.
 
+A model is evaluated on many (x, t) pairs at once with `many`, and a
+single call f(x, t) is the one-pair case.  The discretized map walks the
+grid level-synchronously: it takes the highest time still above delta,
+stacks every batch at that time into one exponential-integrator step to
+the next grid point below, splits the result back and repeats down to
+delta.  The exact mixture score works row by row, so over it a pair's
+image is the same, bit for bit, whatever it is stacked with;
+`measure_cm_error` and `estimate_lipschitz` lean on this to march their
+batches together.  A score that multiplies the batch through BLAS (the
+sine perturbation's x @ omega.T) can differ in the last bit when a
+one-row batch is stacked with others.
+
 Every model records how it was built in its provenance dict, whose
 "kind" names the constructor and which nests the provenance of the model
 it was built from.
@@ -49,26 +61,37 @@ class ScoreModel:
         return self.fn(np.asarray(x, dtype=float), t)
 
 
+Pairs = list[tuple[np.ndarray, float]]
+
+
 @dataclass
 class ConsistencyModel:
     """Deterministic map f(x, t) -> point at time delta; f(x, delta) = x.
 
-    fn is called only for t above delta: within _BOUNDARY_TOL of delta the
-    model returns a copy of x, and below that it raises ValueError."""
+    fn maps a list of (x, t) pairs to the list of their images, and is
+    given only the pairs with t above delta: within _BOUNDARY_TOL of delta
+    the model returns a copy of x, and below that it raises ValueError."""
 
-    fn: Callable[[np.ndarray, float], np.ndarray]
+    fn: Callable[[Pairs], list[np.ndarray]]
     dim: int
     delta: float
     provenance: dict = field(default_factory=dict)
 
     def __call__(self, x, t: float) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if t < self.delta - _BOUNDARY_TOL:
-            raise ValueError(f"need t >= delta, got t={t}, "
-                             f"delta={self.delta}")
-        if t <= self.delta + _BOUNDARY_TOL:
-            return x.copy()
-        return self.fn(x, t)
+        return self.many([(x, t)])[0]
+
+    def many(self, pairs) -> list[np.ndarray]:
+        """[f(x, t) for (x, t) in pairs], with the pairs above delta
+        handed to fn in one call."""
+        pairs = [(np.asarray(x, dtype=float), t) for x, t in pairs]
+        for _, t in pairs:
+            if not t >= self.delta - _BOUNDARY_TOL:     # NaN too
+                raise ValueError(f"need t >= delta, got t={t}, "
+                                 f"delta={self.delta}")
+        edge = self.delta + _BOUNDARY_TOL
+        above = [(x, t) for x, t in pairs if t > edge]
+        images = iter(self.fn(above) if above else [])
+        return [next(images) if t > edge else x.copy() for x, t in pairs]
 
 
 class _SineField:
@@ -111,8 +134,8 @@ def empirical_cm(score_model: ScoreModel, delta: float) -> ConsistencyModel:
     """The PF-ODE flow of a score model, integrated by the reference
     solver."""
     return ConsistencyModel(
-        fn=lambda x, t: integrate_reference(pf_field(score_model), x, t,
-                                            delta),
+        fn=lambda pairs: [integrate_reference(pf_field(score_model), x, t,
+                                              delta) for x, t in pairs],
         dim=score_model.dim,
         delta=delta,
         provenance={"kind": "empirical",
@@ -131,18 +154,26 @@ def discretized_cm(score_model: ScoreModel, grid: TimeGrid) -> ConsistencyModel:
 
     For t between grid points the first step goes to the largest grid point
     below t; a grid point within tol of t is skipped.  Zero per-interval
-    consistency error at grid times by construction.
+    consistency error at grid times by construction.  The pairs are walked
+    level by level, as the module docstring describes.
     """
-    pts = grid.points
     delta = grid.delta
     tol = 1e-12 * max(1.0, grid.T)
-    inner = pts[pts > delta]
+    inner = grid.points[grid.points > delta].tolist()
 
-    def run(x: np.ndarray, t: float) -> np.ndarray:
-        times = [t] + inner[inner < t - tol][::-1].tolist() + [delta]
-        for hi, lo in zip(times[:-1], times[1:]):
-            x = exp_integrator_step(score_model, x, hi, lo)
-        return x
+    def run(pairs: Pairs) -> list[np.ndarray]:
+        xs = [x for x, _ in pairs]
+        ts = [t for _, t in pairs]      # every t is above delta at first
+        while (hi := max(ts)) > delta:
+            level = [i for i, t in enumerate(ts) if t == hi]
+            lo = max((p for p in inner if p < hi - tol), default=delta)
+            rows = np.cumsum([xs[i].shape[0] for i in level])[:-1]
+            stacked = xs[level[0]] if len(level) == 1 \
+                else np.concatenate([xs[i] for i in level])
+            out = exp_integrator_step(score_model, stacked, hi, lo)
+            for i, y in zip(level, np.split(out, rows)):
+                xs[i], ts[i] = y, lo
+        return xs
 
     return ConsistencyModel(
         fn=run,
@@ -165,8 +196,13 @@ def perturb_cm(base: ConsistencyModel, eps_target: float,
         raise ValueError("eps_target must be >= 0")
     g = _SineField(base.dim, seed)
     delta = base.delta
+
+    def fn(pairs: Pairs) -> list[np.ndarray]:
+        return [y + eps_target * (t - delta) * g(x, t)
+                for y, (x, t) in zip(base.many(pairs), pairs)]
+
     return ConsistencyModel(
-        fn=lambda x, t: base(x, t) + eps_target * (t - delta) * g(x, t),
+        fn=fn,
         dim=base.dim,
         delta=delta,
         provenance={"kind": "perturbed", "eps_target": eps_target,
@@ -197,13 +233,17 @@ def measure_cm_error(cm: ConsistencyModel, score_model: ScoreModel,
     if n_mc < 100:
         raise ValueError("n_mc must be >= 100")
     pts = grid.points
-    worst = 0.0
+    his, los = [], []
     for n in range(pts.shape[0] - 1):
         t_lo, t_hi = pts[n], pts[n + 1]
         x = sample(marginal_at(dist, t_hi), n_mc,
                    derive_seed(seed, "eps-cm", n)).points
-        xhat = exp_integrator_step(score_model, x, t_hi, t_lo)
-        gap = cm(x, t_hi) - cm(xhat, t_lo)
+        his.append((x, t_hi))
+        los.append((exp_integrator_step(score_model, x, t_hi, t_lo), t_lo))
+    worst = 0.0
+    for f_hi, f_lo, t_hi, t_lo in zip(cm.many(his), cm.many(los),
+                                      pts[1:], pts[:-1]):
+        gap = f_hi - f_lo
         rms = float(np.sqrt(np.mean(np.sum(gap**2, axis=1))))
         worst = max(worst, rms / (t_hi - t_lo))
     return worst
@@ -218,10 +258,10 @@ def estimate_lipschitz(cm: ConsistencyModel, dist: MixtureParams, t: float,
     x = sample(marginal_at(dist, t), n_pairs, seed).points
     u = derive_rng(seed, "lipschitz-dirs").standard_normal(x.shape)
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    fx = cm(x, t)
+    radii = (1e-3, 1e-2)
+    fx, *fys = cm.many([(x, t)] + [(x + r * u, t) for r in radii])
     best = 1.0
-    for r in (1e-3, 1e-2):
-        fy = cm(x + r * u, t)
+    for r, fy in zip(radii, fys):
         ratios = np.linalg.norm(fy - fx, axis=1) / r
         best = max(best, float(np.max(ratios)))
     return best

@@ -10,8 +10,13 @@ import pkgutil
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import cmlab
+from cmlab import models, samplers
 from cmlab.acceptance import DEFAULT_SEED
+from cmlab.distributions import MixtureParams
+from cmlab.schedule import build_grid
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -62,3 +67,29 @@ def test_oracle_ring_and_probe_ops_pass():
     ops = dict(_load("workloads").WORKLOADS["oracle"](DEFAULT_SEED))
     for name in ("ring", "probe"):
         assert ops[name]().passed, name
+
+
+def test_traced_walks_count_the_rows_they_march():
+    # a tracer counter that raises inside an op counts as a failed op, so
+    # the traced march must run clean and leave every output unchanged
+    dist = MixtureParams.gaussian([0.0, 0.0], [4.0, 4.0])
+    grid = build_grid(0.01, 0.1, 1.0)
+    sm = models.exact_score_model(dist)
+    cm = models.perturb_cm(models.discretized_cm(sm, grid), 0.1, 3)
+    n_mc, n = 100, 50
+
+    def ops():
+        return (models.measure_cm_error(cm, sm, dist, grid, n_mc, 7),
+                samplers.one_step(cm, grid.T, n, 7).points)
+
+    plain = ops()
+    tracer = _load("tracer").Tracer()
+    with tracer.installed():
+        traced = ops()
+    steps = grid.n_points - 1
+    # xhat steps, the walks of (x, t_{n+1}) and (xhat, t_n), and one_step
+    rows = (steps + steps * (steps + 1) // 2 + (steps - 1) * steps // 2) \
+        * n_mc + steps * n
+    assert tracer.stats["flows.exp_integrator_step"]["points"] == rows
+    assert traced[0] == plain[0]
+    assert np.array_equal(traced[1], plain[1])

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from cmlab.distributions import MixtureParams, marginal_at
+from cmlab.distributions import MixtureParams, marginal_at, sample, score
+from cmlab.flows import exp_integrator_step
 from cmlab.harness import fit_loglog
-from cmlab.models import (discretized_cm, empirical_cm, estimate_lipschitz,
-                          exact_cm, exact_score_model, measure_cm_error,
-                          measure_score_error, perturb_cm, perturb_score,
-                          recover_score)
-from cmlab.schedule import build_grid
+from cmlab.models import (ScoreModel, discretized_cm, empirical_cm,
+                          estimate_lipschitz, exact_cm, exact_score_model,
+                          measure_cm_error, measure_score_error, perturb_cm,
+                          perturb_score, recover_score)
+from cmlab.rng import derive_seed
+from cmlab.schedule import build_grid, uniform_grid
 
 
 def wide_gaussian(d=1):
@@ -146,6 +148,126 @@ class TestBoundary:
         x = np.random.default_rng(3).normal(size=(10, 1))
         out = cm(x, 0.05 + 1.5e-12)
         assert out is not x and np.allclose(out, x, rtol=0, atol=1e-10)
+
+
+class TestMany:
+    # cm.many(pairs) is [cm(x, t) for x, t in pairs], bit for bit, for
+    # every kind of model, however the pairs' batches end up stacked
+    DELTA, T = 0.05, 2.0
+
+    @classmethod
+    def kinds(cls):
+        dist = wide_gaussian()
+        sm = exact_score_model(dist)
+        two_stage = build_grid(cls.DELTA, 0.2, cls.T)
+        uniform = uniform_grid(cls.DELTA, 0.3, cls.T)
+        empirical = empirical_cm(perturb_score(dist, 0.2, 3), cls.DELTA)
+        return {"exact": exact_cm(dist, cls.DELTA),
+                "empirical": empirical,
+                "discretized two-stage": discretized_cm(sm, two_stage),
+                "discretized uniform": discretized_cm(sm, uniform),
+                "perturbed discretized": perturb_cm(
+                    discretized_cm(sm, two_stage), 0.3, 4),
+                "perturbed empirical": perturb_cm(empirical, 0.3, 4)}
+
+    @classmethod
+    def pairs(cls, rows=(1, 7, 400)):
+        # boundary, just past it, on a grid point of both grids (1.1), off
+        # the grids, within 1e-12 * T of a grid point on either side, and T
+        grid_pt, near = 1.1, 0.5e-12 * cls.T
+        times = [cls.DELTA, cls.DELTA + 5e-13, grid_pt, 0.77, grid_pt,
+                 grid_pt + near, grid_pt - near, cls.T, 0.77]
+        rng = np.random.default_rng(6)
+        return [(rng.normal(size=(rows[k % len(rows)], 1)), t)
+                for k, t in enumerate(times)]
+
+    def test_many_equals_one_call_per_pair(self):
+        pairs = self.pairs()
+        for name, cm in self.kinds().items():
+            outs = cm.many(pairs)
+            assert len(outs) == len(pairs), name
+            for (x, t), out in zip(pairs, outs):
+                assert np.array_equal(out, cm(x, t)), (name, t)
+                assert out is not x, (name, t)
+
+    def test_single_call_is_the_per_call_march(self):
+        # the walk over one pair is the old march, one step per level
+        dist = wide_gaussian()
+        sm = exact_score_model(dist)
+        for grid in (build_grid(self.DELTA, 0.2, self.T),
+                     uniform_grid(self.DELTA, 0.3, self.T)):
+            cm = discretized_cm(sm, grid)
+            tol = 1e-12 * grid.T
+            inner = grid.points[grid.points > grid.delta]
+            for x, t in self.pairs()[2:]:     # the pairs above delta
+                times = [t] + inner[inner < t - tol][::-1].tolist() \
+                    + [grid.delta]
+                y = x
+                for hi, lo in zip(times[:-1], times[1:]):
+                    y = exp_integrator_step(sm, y, hi, lo)
+                assert np.array_equal(cm(x, t), y), t
+
+    def test_a_pair_below_delta_or_at_nan_raises(self):
+        for bad in (self.DELTA - 1e-9, float("nan")):
+            pairs = self.pairs(rows=(3,))
+            pairs.insert(4, (np.zeros((3, 1)), bad))
+            for name, cm in self.kinds().items():
+                with pytest.raises(ValueError, match="need t >= delta"):
+                    cm.many(pairs)
+
+    def test_no_pairs_give_no_images(self):
+        for cm in self.kinds().values():
+            assert cm.many([]) == []
+
+
+class TestMeasureCmErrorWalk:
+    # criterion 3's grid: delta = 0.01, h = 0.025, T = 2
+    GRID = build_grid(0.01, 0.025, 2.0)
+
+    @staticmethod
+    def counting(dist):
+        calls = []
+
+        def fn(x, t):
+            calls.append(x.shape[0])
+            return score(dist, t, x)
+        return ScoreModel(fn=fn, dim=dist.dim), calls
+
+    @staticmethod
+    def per_interval(cm, score_model, dist, grid, n_mc, seed):
+        """measure_cm_error as two one-pair calls of cm per interval."""
+        pts = grid.points
+        worst = 0.0
+        for n in range(pts.shape[0] - 1):
+            t_lo, t_hi = pts[n], pts[n + 1]
+            x = sample(marginal_at(dist, t_hi), n_mc,
+                       derive_seed(seed, "eps-cm", n)).points
+            xhat = exp_integrator_step(score_model, x, t_hi, t_lo)
+            gap = cm(x, t_hi) - cm(xhat, t_lo)
+            rms = float(np.sqrt(np.mean(np.sum(gap**2, axis=1))))
+            worst = max(worst, rms / (t_hi - t_lo))
+        return worst
+
+    def test_perturbed_discretized_matches_per_interval_calls(self):
+        dist = wide_gaussian(2)
+        assert self.GRID.n_points == 82
+        sm, calls = self.counting(dist)
+        cm = perturb_cm(discretized_cm(sm, self.GRID), 0.1, 9)
+        walked = measure_cm_error(cm, sm, dist, self.GRID, 100, 5)
+        assert len(calls) == 81 + 81 + 80      # xhat steps, two walks
+        calls.clear()
+        looped = self.per_interval(cm, sm, dist, self.GRID, 100, 5)
+        # one march per call: 1 + 2 + ... + 81 and 0 + 1 + ... + 80 steps
+        assert len(calls) == 81 + 81 * 82 // 2 + 80 * 81 // 2 == 6642
+        assert walked == looped and walked > 0
+
+    def test_empirical_matches_per_interval_calls(self):
+        dist = wide_gaussian()
+        sm = exact_score_model(dist)
+        grid = build_grid(0.05, 0.2, 1.0)
+        cm = empirical_cm(perturb_score(dist, 0.1, 2), grid.delta)
+        assert measure_cm_error(cm, sm, dist, grid, 100, 1) \
+            == self.per_interval(cm, sm, dist, grid, 100, 1)
 
 
 class TestEstimateLipschitz:
