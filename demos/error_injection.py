@@ -31,8 +31,8 @@ def main() -> None:
                   f"{row['w2_excess']:>10.6f}")
         fit = fit_loglog([r["eps_hat"] for r in rep["rows"]],
                          [r["w2_excess"] for r in rep["rows"]])
-        print(f"fitted slope: {fit.slope:.3f}  "
-              f"(r^2 = {fit.r_squared:.5f}, expected ~1)")
+        print(f"fitted slope: {fit['slope']:.3f}  "
+              f"(r^2 = {fit['r_squared']:.5f}, expected ~1)")
 
 
 if __name__ == "__main__":

@@ -52,8 +52,8 @@ def _slope_check(xs, ys, target: float, tol: float) -> tuple[bool, dict]:
         return False, {"error": "nonpositive excess values, cannot fit",
                        "xs": list(xs), "ys": list(ys)}
     fit = fit_loglog(xs, ys)
-    ok = abs(fit.slope - target) <= tol
-    return ok, {"fit": fit.to_dict(), "target": target, "tol": tol,
+    ok = abs(fit["slope"] - target) <= tol
+    return ok, {"fit": fit, "target": target, "tol": tol,
                 "xs": list(xs), "ys": list(ys)}
 
 

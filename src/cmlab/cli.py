@@ -3,7 +3,7 @@
 Subcommands: grid (print a schedule), sample (run a sampler, emit its
 points), sweep (run a JSON experiment config), verify (run the acceptance
 suite), gradcheck (CT/CD gradient-gap table).  grid, sample, sweep and
-gradcheck all run through the harness's config loader and dispatcher;
+gradcheck all run through the harness's read_config and run_experiment;
 for every one but sweep the subcommand names the experiment kind.  Exit
 codes: 0 success, 1 usage or validation error, 2 acceptance failure.
 """
@@ -14,8 +14,8 @@ import argparse
 import sys
 
 from .acceptance import DEFAULT_SEED, run_all
-from .harness import (ConfigError, ExperimentConfig, check_seed, emit,
-                      render_csv, render_json, run_experiment)
+from .harness import (ConfigError, check_seed, emit, read_config, render_csv,
+                      render_json, run_experiment)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -37,16 +37,13 @@ def _emit_or_print(report: dict, args, stem: str) -> None:
 
 
 def cmd_run(args) -> int:
-    """grid, sample, sweep and gradcheck: load the config, run it through
+    """grid, sample, sweep and gradcheck: read the config, run it through
     the dispatcher and emit the report."""
     kind = None if args.command == "sweep" else args.command
-    if args.config:
-        cfg = ExperimentConfig.from_file(args.config, kind)
-    elif kind is None:
+    if kind is None and not args.config:
         raise ConfigError("sweep requires --config PATH")
-    else:
-        cfg = ExperimentConfig(kind)
-    report = run_experiment(cfg, seed=args.seed)
+    raw = read_config(args.config) if args.config else {}
+    report = run_experiment(raw, kind, seed=args.seed)
     if kind != "gradcheck":
         _emit_or_print(report, args, args.command)
         return 0

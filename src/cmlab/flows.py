@@ -49,7 +49,8 @@ def integrate_reference(field: Field, x, t_from: float, t_to: float,
 
     Batches are integrated as one stacked system (the step controller uses
     the joint error norm), which keeps the result deterministic for a fixed
-    input batch.
+    input batch.  A non-finite field value raises FloatingPointError at
+    once: RK45 would otherwise go on stepping with t = NaN.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -59,7 +60,10 @@ def integrate_reference(field: Field, x, t_from: float, t_to: float,
     shape = x.shape
 
     def rhs(t, y):
-        return field(y.reshape(shape), t).ravel()
+        v = field(y.reshape(shape), t).ravel()
+        if not np.isfinite(v).all():
+            raise FloatingPointError(f"non-finite field value at t = {t}")
+        return v
 
     sol = solve_ivp(rhs, (t_from, t_to), x.ravel(), method="RK45",
                     rtol=tol, atol=tol)

@@ -1,6 +1,12 @@
 """Experiment runner tying distributions, models, samplers and metrics
-into the scaling-law measurements, plus config parsing, log-log slope
-fitting, and deterministic report emission.
+into the scaling-law measurements, plus log-log slope fitting and
+deterministic report emission.
+
+A config is a JSON object: its "kind" names one of the cores below and
+its other keys are that core's keyword arguments and "seed".
+`read_config(path)` reads one from strict JSON, and
+`run_experiment(raw, kind, seed)` checks every key before it runs the
+core, and returns the report.
 """
 
 from __future__ import annotations
@@ -11,7 +17,6 @@ import json
 import os
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from typing import Literal, Optional, Union, get_args, get_origin
 
 import numpy as np
@@ -35,21 +40,9 @@ class ConfigError(ValueError):
     """Config validation failure; message carries the offending field path."""
 
 
-@dataclass(frozen=True)
-class FitResult:
-    """Least-squares line on (log x, log y)."""
-
-    slope: float
-    intercept: float
-    r_squared: float
-    n_points: int
-
-    def to_dict(self) -> dict:
-        return {"slope": self.slope, "intercept": self.intercept,
-                "r_squared": self.r_squared, "n_points": self.n_points}
-
-
-def fit_loglog(xs, ys) -> FitResult:
+def fit_loglog(xs, ys) -> dict:
+    """Least-squares line on (log x, log y): slope, intercept, r_squared
+    and n_points."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape[0] < 3:
@@ -61,9 +54,9 @@ def fit_loglog(xs, ys) -> FitResult:
     resid = ly - (slope * lx + intercept)
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    return FitResult(slope=float(slope), intercept=float(intercept),
-                     r_squared=float(np.clip(r2, 0.0, 1.0)),
-                     n_points=int(xs.shape[0]))
+    return {"slope": float(slope), "intercept": float(intercept),
+            "r_squared": float(np.clip(r2, 0.0, 1.0)),
+            "n_points": int(xs.shape[0])}
 
 
 def _grid_for(delta: float, h: float, T: float) -> TimeGrid:
@@ -213,8 +206,8 @@ def stationary_suite(n: int = 100_000, seed: int = 0) -> dict:
     fresh_a = derive_rng(seed, "fresh-a").standard_normal((n, 2))
     floor = w2_sliced(fresh_a, ref, seed=seed).value
 
-    q1 = one_step(cm, T, n, seed)
-    qk = multistep(cm, [T, 0.7, 0.7, 0.7], n, seed)[-1]
+    rounds = multistep(cm, [T, 0.7, 0.7, 0.7], n, seed)
+    q1, qk = rounds[0], rounds[-1]      # round 1 is the one-step batch
     q_ou = ou_smooth(q1, 0.05, seed)
     q_ulmc = ulmc_run(score_at_delta, q1, 1.0, 0.005, 200, seed, t=delta)
 
@@ -379,7 +372,7 @@ def gradcheck_experiment(dt_list: Sequence[float] = (0.2, 0.1, 0.05),
     pcm = ParametricCM.create(1, 32, seed, 0.01, theta=theta0)
     rows = grad_gap(pcm, dist, exact_score_model(dist), dt_list, n_mc, seed)
     fit = fit_loglog([r["dt"] for r in rows], [r["gap"] for r in rows])
-    return {"rows": rows, "fit": fit.to_dict()}
+    return {"rows": rows, "fit": fit}
 
 
 def grid_experiment(delta: float = 0.01, h: float = 0.1,
@@ -467,77 +460,62 @@ def check_seed(value) -> int:
     return _check("seed", value, int)
 
 
-def _core_args(kind: str, params: dict) -> dict:
-    """The checked keyword arguments of kind's core, seed included."""
-    fields = _fields(kind)
-    unknown = set(params) - set(fields)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return {k: _check(k, v, fields[k]) for k, v in params.items()}
-
-
 def _reject_constant(name: str):
     raise ConfigError(f"config contains {name}, which is not a JSON number")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Experiment description parsed from strict JSON; params as given."""
+def read_config(path: str):
+    """The JSON value in the file at path; NaN and Infinity are rejected."""
+    with open(path, "rb") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text, parse_constant=_reject_constant)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
-    kind: str
-    params: dict = field(default_factory=dict)
 
-    @classmethod
-    def from_dict(cls, raw: dict,
-                  kind: Optional[str] = None) -> "ExperimentConfig":
-        """kind, when given, is the kind the caller runs: the config may
-        leave out its "kind" key, or must name the same kind."""
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be an object")
-        if kind is not None:
-            raw = {"kind": kind, **raw}
-            if raw["kind"] != kind:
-                raise ConfigError(
-                    f"kind: expected {kind!r}, got {raw['kind']!r}")
-        kind = raw.get("kind")
-        if not isinstance(kind, str) or kind not in _KINDS:
+def _parse(raw, kind: Optional[str] = None) -> tuple[str, dict, dict]:
+    """A config object's kind, its keys as given but "kind", and its core's
+    checked keyword arguments, seed included.  kind, when given, is the
+    kind the caller runs: the config may leave out its "kind" key, or must
+    name the same kind."""
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be an object")
+    if kind is not None:
+        raw = {"kind": kind, **raw}
+        if raw["kind"] != kind:
             raise ConfigError(
-                f"kind: expected one of {tuple(_KINDS)}, got {kind!r}")
-        params = {k: v for k, v in raw.items() if k != "kind"}
-        _core_args(kind, params)
-        return cls(kind=kind, params=params)
-
-    @classmethod
-    def from_json(cls, text: str | bytes,
-                  kind: Optional[str] = None) -> "ExperimentConfig":
-        try:
-            raw = json.loads(text, parse_constant=_reject_constant)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw, kind)
-
-    @classmethod
-    def from_file(cls, path: str,
-                  kind: Optional[str] = None) -> "ExperimentConfig":
-        with open(path, "rb") as fh:
-            return cls.from_json(fh.read(), kind)
+                f"kind: expected {kind!r}, got {raw['kind']!r}")
+    kind = raw.get("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ConfigError(
+            f"kind: expected one of {tuple(_KINDS)}, got {kind!r}")
+    params = {k: v for k, v in raw.items() if k != "kind"}
+    fields = _fields(kind)
+    unknown = set(params) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    return kind, params, {k: _check(k, v, fields[k])
+                          for k, v in params.items()}
 
 
-def run_experiment(cfg: ExperimentConfig, seed: Optional[int] = None) -> dict:
-    """Run a config's core on its checked keys, seed (when given) in place
-    of the config's; the returned report embeds the config as given."""
-    given = cfg.params if seed is None else {**cfg.params, "seed": seed}
-    args = _core_args(cfg.kind, given)
+def run_experiment(raw, kind: Optional[str] = None,
+                   seed: Optional[int] = None) -> dict:
+    """Check a config object (see _parse) and run its kind's core, seed
+    (when given) in place of the config's; the returned report embeds the
+    config as given, without its kind."""
+    kind, params, args = _parse(raw, kind)
     root = args.pop("seed", 0)
-    core = _KINDS[cfg.kind]
+    if seed is not None:
+        root = check_seed(seed)
+    core = _KINDS[kind]
     if "seed" in inspect.signature(core).parameters:
         args["seed"] = root
     try:
         body = core(**args)
     except (ValueError, ArithmeticError) as exc:
-        raise ConfigError(f"config rejected by {cfg.kind}: {exc}") from exc
-    return {"kind": cfg.kind, "seed": root, "config": dict(cfg.params),
-            "result": body}
+        raise ConfigError(f"config rejected by {kind}: {exc}") from exc
+    return {"kind": kind, "seed": root, "config": params, "result": body}
 
 
 def _jsonable(obj):

@@ -10,14 +10,23 @@ standard errors of the estimate.  The check is also shown to reject
 corrector runs at the wrong friction and a run that does nothing.
 """
 
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from scipy.stats import norm
 
-from cmlab.acceptance import (DEFAULT_SEED, _fitted_tv_se, run_all,
-                              ulmc_tv_check)
+from cmlab import acceptance
+from cmlab.acceptance import (DEFAULT_SEED, CriterionResult, _fitted_tv_se,
+                              run_all, ulmc_tv_check)
 from cmlab.harness import ulmc_correction_experiment
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" \
+    / "workloads.py"
 
 CRITERIA = {
     1: "one-step W2 excess scales linearly in step size h",
@@ -47,6 +56,25 @@ def test_criterion(report, number):
     assert entry["passed"], (
         f"criterion {number} failed: {CRITERIA[number]}; "
         f"details: {entry['details']}")
+
+
+@pytest.mark.parametrize("number", [1, 3, 5, 9])
+def test_benchmark_reads_its_criterion_fields(report, monkeypatch, number):
+    # the benchmark's criterion ops read the fit slope (or the worst
+    # ratio), target and tol from the details and refuse a non-finite
+    # detail; a renamed key would otherwise show only as failed ops there
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    entry = next(c for c in report["criteria"] if c["number"] == number)
+    monkeypatch.setattr(acceptance, "run_criterion",
+                        lambda n, seed: CriterionResult(**entry))
+    outcome = workloads._criterion(number, DEFAULT_SEED)()
+    assert outcome.passed
+    assert all(map(math.isfinite, (outcome.value, outcome.target,
+                                   outcome.tol)))
 
 
 def test_report_is_complete(report):

@@ -11,11 +11,13 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import cmlab
-from cmlab import models, samplers
+from cmlab import distributions, flows, harness, metrics, models, samplers
 from cmlab.acceptance import DEFAULT_SEED
-from cmlab.distributions import MixtureParams
+from cmlab.distributions import MixtureParams, SampleBatch
+from cmlab.objectives import ParametricCM
 from cmlab.schedule import build_grid
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -93,3 +95,53 @@ def test_traced_walks_count_the_rows_they_march():
     assert tracer.stats["flows.exp_integrator_step"]["points"] == rows
     assert traced[0] == plain[0]
     assert np.array_equal(traced[1], plain[1])
+
+
+def _counted_calls() -> dict:
+    """layer -> (one call on a 7-row input, check of the layer's counts
+    and the call's output)."""
+    dist = MixtureParams.gaussian([0.0, 0.0], [4.0, 4.0])
+    x = np.linspace(-1.0, 1.0, 14).reshape(7, 2)
+    sm = models.exact_score_model(dist)
+    pcm = ParametricCM.create(2, 4, 0, 0.01)
+    return {
+        "distributions.score": (
+            lambda: distributions.score(dist, 0.5, x),
+            lambda s, out: s["points"] == 7),
+        "distributions.sample": (
+            lambda: distributions.sample(dist, 7, 0).points,
+            lambda s, out: s["points"] == 7),
+        "flows.exp_integrator_step": (
+            lambda: flows.exp_integrator_step(sm, x, 0.5, 0.25),
+            lambda s, out: s["points"] == 7),
+        "flows.solve_ivp": (
+            lambda: models.exact_cm(dist, 0.01)(x, 1.0),
+            lambda s, out: s["nfev"] > 0 and s["steps"] > 0),
+        "samplers.ulmc_run": (
+            lambda: samplers.ulmc_run(sm, SampleBatch(points=x), 1.0, 0.01,
+                                      3, 0, t=0.01).points,
+            lambda s, out: s["steps"] == 3),
+        "metrics.w2_sliced": (
+            lambda: metrics.w2_sliced(x, x + 1.0, seed=0).value,
+            lambda s, out: s["projections"] == 64),
+        "objectives.ParametricCM.features": (
+            lambda: pcm.features(x, 0.5),
+            lambda s, out: s["points"] == 7),
+        "harness.render_json": (
+            lambda: harness.render_json({"x": x}),
+            lambda s, out: s["bytes"] == len(out)),
+    }
+
+
+@pytest.mark.parametrize("layer", sorted(_counted_calls()))
+def test_every_work_counter_counts_its_call(layer):
+    # every counter in TRACED runs here once, so a counter that raises
+    # fails this test and not only an op of a traced benchmark run
+    call, check = _counted_calls()[layer]
+    plain = call()
+    tracer = _load("tracer").Tracer()
+    with tracer.installed():
+        traced = call()
+    assert tracer.stats[layer]["calls"] == 1
+    assert check(tracer.stats[layer], traced), tracer.stats[layer]
+    assert np.array_equal(traced, plain)

@@ -78,7 +78,7 @@ class TestExpIntegrator:
             exact = x * s_t(t_lo) / s_t(t_hi)
             errs.append(float(np.abs(out - exact).max()))
         fit = fit_loglog(hs, errs)
-        assert abs(fit.slope - 2.0) <= 0.2
+        assert abs(fit["slope"] - 2.0) <= 0.2
         # Richardson ratio between successive halvings is about 4
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
 
@@ -185,7 +185,7 @@ class TestConsistencyMaps:
             f_em = empirical_cm(sm, 0.05)(x, 1.0)
             gaps.append(float(np.linalg.norm(f_em - f_ex)))
         fit = fit_loglog(eps_list, gaps)
-        assert abs(fit.slope - 1.0) <= 0.15
+        assert abs(fit["slope"] - 1.0) <= 0.15
 
     def test_invertibility_along_trajectory(self):
         # forward flow (reverse-time integration upward) then consistency map

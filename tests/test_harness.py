@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from cmlab import cli, harness
 from cmlab.cli import main
-from cmlab.harness import (ConfigError, ExperimentConfig, emit, fit_loglog,
-                           h_sweep_one_step, ou_tv_bound_check, render_csv,
+from cmlab.harness import (ConfigError, emit, fit_loglog, h_sweep_one_step,
+                           ou_tv_bound_check, read_config, render_csv,
                            render_json, run_experiment)
 from cmlab.distributions import MixtureParams
 
@@ -19,13 +19,13 @@ class TestFitLoglog:
         xs = [0.4, 0.2, 0.1, 0.05]
         for p in (0.5, 1.0, 2.0):
             fit = fit_loglog(xs, [3.0 * x**p for x in xs])
-            assert fit.slope == pytest.approx(p, abs=1e-10)
-            assert fit.r_squared == pytest.approx(1.0)
+            assert fit["slope"] == pytest.approx(p, abs=1e-10)
+            assert fit["r_squared"] == pytest.approx(1.0)
 
     def test_constant_ys_slope_zero(self):
         fit = fit_loglog([1.0, 2.0, 4.0], [5.0, 5.0, 5.0])
-        assert fit.slope == pytest.approx(0.0, abs=1e-12)
-        assert fit.r_squared == 1.0
+        assert fit["slope"] == pytest.approx(0.0, abs=1e-12)
+        assert fit["r_squared"] == 1.0
 
     def test_rejects_too_few_or_nonpositive(self):
         with pytest.raises(ValueError):
@@ -35,51 +35,55 @@ class TestFitLoglog:
 
 
 class TestExperimentConfig:
+    """A config object is checked before its core runs."""
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict({"kind": "h-sweep", "bogus": 1})
+            run_experiment({"kind": "h-sweep", "bogus": 1})
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict({"kind": "nope"})
+            run_experiment({"kind": "nope"})
 
     def test_empty_sweep_list_rejected(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict({"kind": "h-sweep", "h_list": []})
+            run_experiment({"kind": "h-sweep", "h_list": []})
 
-    def test_invalid_json_rejected(self):
+    def test_invalid_json_rejected(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text("{not json")
         with pytest.raises(ConfigError):
-            ExperimentConfig.from_json("{not json")
+            read_config(str(path))
 
     def test_u64_seed_is_accepted_and_reported(self):
-        cfg = ExperimentConfig.from_dict({"kind": "grid", "seed": 2**64 - 1})
-        assert run_experiment(cfg)["seed"] == 2**64 - 1
-        assert run_experiment(cfg, seed=5)["seed"] == 5
+        raw = {"kind": "grid", "seed": 2**64 - 1}
+        assert run_experiment(raw)["seed"] == 2**64 - 1
+        assert run_experiment(raw, seed=5)["seed"] == 5
 
     def test_round_trip(self):
-        cfg = ExperimentConfig.from_dict(
-            {"kind": "h-sweep", "h_list": [0.2, 0.1, 0.05], "n": 500})
-        assert cfg.kind == "h-sweep"
-        assert cfg.params["n"] == 500
+        raw = {"kind": "h-sweep", "h_list": [0.2, 0.1, 0.05], "n": 500}
+        kind, params, args = harness._parse(raw)
+        assert kind == "h-sweep"
+        assert params == {"h_list": [0.2, 0.1, 0.05], "n": 500}
+        assert args == params
 
 
 class TestRunExperiment:
     def test_h_sweep_shape(self):
-        cfg = ExperimentConfig.from_dict(
-            {"kind": "h-sweep", "h_list": [0.2, 0.1, 0.05],
-             "floor_h": 0.0125, "n": 2000})
-        rep = run_experiment(cfg, seed=3)
+        raw = {"kind": "h-sweep", "h_list": [0.2, 0.1, 0.05],
+               "floor_h": 0.0125, "n": 2000}
+        rep = run_experiment(raw, seed=3)
         rows = rep["result"]["rows"]
         assert [r["h"] for r in rows] == [0.2, 0.1, 0.05]
         assert all("w2" in r and "w2_excess" in r for r in rows)
         assert rep["seed"] == 3
+        assert rep["config"] == {k: v for k, v in raw.items() if k != "kind"}
 
     def test_invalid_params_become_config_error(self):
-        cfg = ExperimentConfig.from_dict(
-            {"kind": "h-sweep", "delta": 0.5, "T": 0.2,
-             "h_list": [0.1], "n": 100})
+        raw = {"kind": "h-sweep", "delta": 0.5, "T": 0.2, "h_list": [0.1],
+               "n": 100}
         with pytest.raises(ConfigError):
-            run_experiment(cfg, seed=0)
+            run_experiment(raw, seed=0)
 
     def test_ou_tv_has_no_violations(self):
         assert ou_tv_bound_check()["violations"] == 0
@@ -95,11 +99,10 @@ class TestRunExperiment:
         assert row["ok"] is True
 
     def test_deterministic_bytes(self):
-        cfg = ExperimentConfig.from_dict(
-            {"kind": "h-sweep", "h_list": [0.2, 0.1, 0.05],
-             "floor_h": 0.0125, "n": 1000})
-        a = render_json(run_experiment(cfg, seed=7))
-        b = render_json(run_experiment(cfg, seed=7))
+        raw = {"kind": "h-sweep", "h_list": [0.2, 0.1, 0.05],
+               "floor_h": 0.0125, "n": 1000}
+        a = render_json(run_experiment(raw, seed=7))
+        b = render_json(run_experiment(raw, seed=7))
         assert a == b
 
     def test_crn_floor_is_h_independent_limit(self):
@@ -265,14 +268,14 @@ class TestConfigSchema:
         raw.update(data.draw(st.sampled_from(
             [{}, {}, {"kind": kind}, {"kind": "hessian"}, {"x": 0}])))
         try:
-            cfg = ExperimentConfig.from_dict(raw, kind)
+            _, given, _ = harness._parse(raw, kind)
         except ConfigError as exc:
             assert str(exc).startswith(
                 tuple(f"{k}: " for k in raw) + ("unknown config keys",))
             return
         # annotations as written, e.g. "Optional[float]"; seed is an int
         params = inspect.signature(harness._KINDS[kind]).parameters
-        for key, value in cfg.params.items():
+        for key, value in given.items():
             written = params[key].annotation if key in params else "int"
             assert _fits(value, written), (key, value)
 
@@ -313,10 +316,17 @@ class TestCliRejects:
         # fitted covariance overflows and is rejected by the fit
         ("sweep", {"kind": "ulmc-correction", "tau": 1e300, "n_steps": 1,
                    "n": 10}, "config rejected by ulmc-correction: "),
+        # the score overflows to NaN, on which RK45 would step forever
+        pytest.param(
+            "sample", {"distribution": {"weights": [1.0], "means": [[1e200]],
+                                        "vars": [[1.0]]}, "n": 3},
+            "config rejected by sample: non-finite field value at t = ",
+            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
     ], ids=["n-text", "n-one", "sample-foreign-keys", "hessian-foreign-key",
             "weights-object", "n-bool", "seed-float", "sampler", "grid-null",
             "times-beyond-T", "times-beyond-T-grid", "ou-tv-square-overflow",
-            "ou-tv-bound-overflow", "ulmc-tv-overflow"])
+            "ou-tv-bound-overflow", "ulmc-tv-overflow",
+            "reference-field-overflow"])
     def test_malformed_config(self, tmp_path, capsys, command, config,
                               message):
         path = tmp_path / "c.json"

@@ -104,7 +104,7 @@ class TestMeasureCmError:
         errs = [measure_cm_error(cm, sm, dist, build_grid(0.02, h, 1.6),
                                  150, 1) for h in hs]
         fit = fit_loglog(hs, errs)
-        assert abs(fit.slope - 1.0) <= 0.35
+        assert abs(fit["slope"] - 1.0) <= 0.35
 
     def test_discretized_cm_is_exactly_consistent_on_its_grid(self):
         dist = wide_gaussian()
