@@ -4,9 +4,11 @@ Data distributions are mixtures of axis-aligned Gaussians (zero variance
 entries allowed, so point masses and other bounded-support laws are
 covered).  For this family everything the sampling theory consumes is
 available in closed form: the noised marginal at any time, the score field
-and its Hessian, returned per row of an (n, d) batch x.  `ou_forward` is
-the one forward OU kernel that noises a sample, and `draw` the one mixture
-draw; the samplers and the training objectives all call them.
+and its Hessian, returned per row of an (n, d) batch x; a single
+Gaussian's score is taken in the closed form -(x - m_t) / v_t, with the
+general mixture kernel's bits (see `score`).  `ou_forward` is the one
+forward OU kernel that noises a sample, and `draw` the one mixture draw;
+the samplers and the training objectives all call them.
 
 Conventions: the forward process is the standard OU process
 dx = -x dt + sqrt(2) dW, whose marginal at time t of a component
@@ -190,24 +192,56 @@ def _posterior(dist: MixtureParams, t: float, x: np.ndarray):
             "use t > 0"
         )
     mix = marginal_at(dist, t)
-    # log w_i + log N(x; m_i, diag(s_i^2)), shape (n, K)
-    diff = x[:, None, :] - mix.means[None, :, :]          # (n, K, d)
-    sq_dist = np.sum(diff * diff / mix.variances[None, :, :], axis=2)
-    lognorm = np.sum(np.log(2.0 * np.pi * mix.variances), axis=1)  # (K,)
-    logw = np.where(mix.weights > 0, np.log(np.maximum(mix.weights, 1e-300)),
-                    _LOG_FLOOR)
-    logterms = logw[None, :] - 0.5 * (sq_dist + lognorm[None, :])
-    log_p = logsumexp(logterms, axis=1, keepdims=True)
-    resp = np.exp(np.maximum(logterms - log_p, _LOG_FLOOR))
-    grad_i = -diff / mix.variances[None]
+    # A far-out or NaN point gives NaN here, not a warning; callers that
+    # integrate the score reject the non-finite value.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # log w_i + log N(x; m_i, diag(s_i^2)), shape (n, K)
+        diff = x[:, None, :] - mix.means[None, :, :]          # (n, K, d)
+        sq_dist = np.sum(diff * diff / mix.variances[None, :, :], axis=2)
+        lognorm = np.sum(np.log(2.0 * np.pi * mix.variances), axis=1)  # (K,)
+        logw = np.where(mix.weights > 0,
+                        np.log(np.maximum(mix.weights, 1e-300)), _LOG_FLOOR)
+        logterms = logw[None, :] - 0.5 * (sq_dist + lognorm[None, :])
+        log_p = logsumexp(logterms, axis=1, keepdims=True)
+        resp = np.exp(np.maximum(logterms - log_p, _LOG_FLOOR))
+        grad_i = -diff / mix.variances[None]
     return resp, grad_i, mix
+
+
+def _mixture_score(dist: MixtureParams, t: float, x: np.ndarray
+                   ) -> np.ndarray:
+    """The general score kernel: the responsibility-weighted mean of the
+    per-component scores."""
+    resp, grad_i, _ = _posterior(dist, t, x)
+    return np.sum(resp[:, :, None] * grad_i, axis=1)
 
 
 def score(dist: MixtureParams, t: float, x: np.ndarray) -> np.ndarray:
     """Exact score grad log p_t(x) (n, d): the responsibility-weighted
-    mean of the per-component scores."""
-    resp, grad_i, _ = _posterior(dist, t, x)
-    return np.sum(resp[:, :, None] * grad_i, axis=1)
+    mean of the per-component scores.
+
+    A single Gaussian's score is the closed form -(x - m_t) / v_t, and it
+    is returned directly, with the same bits as the general kernel, when
+    every row's squared distance is far from overflow: reach^2 * d <
+    1e300 * min v_t, where reach is the largest |x - m_t| entry, and
+    max v_t < 1e300, so that log(2 pi v_t) is finite.  Then the one
+    log-term is finite, logsumexp returns it exactly and the
+    responsibility is exp(0) = 1.0; the one-term sum over components adds
+    1.0 * g to 0.0, which 0.0 - (x - m_t) / v_t repeats, -0.0 entries
+    turning into +0.0 included.  Any other batch (a row near overflow or
+    NaN, a zero variance) takes the general kernel, which gives its NaN
+    rows or raises.  Either way a row's score is that of the row alone,
+    bit for bit."""
+    if dist.n_components == 1:
+        mix = marginal_at(dist, t)
+        diff = x - mix.means
+        v = mix.variances
+        # Python floats: the guard's own overflow gives inf, not a warning
+        reach = float(np.abs(diff).max(initial=0.0))   # NaN if any is NaN
+        if (reach * reach * v.shape[1] < 1e300 * float(v.min())
+                and v.max() < 1e300):
+            return 0.0 - diff / v
+    return _mixture_score(dist, t, x)
 
 
 def score_hessian(dist: MixtureParams, t: float, x: np.ndarray) -> np.ndarray:

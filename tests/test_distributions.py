@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 from cmlab.acceptance import DEFAULT_SEED
 from cmlab.distributions import (DegenerateDensityError, MixtureParams,
-                                 SampleBatch, hessian_bound_bounded_support,
-                                 marginal_at, sample, score, score_hessian)
+                                 SampleBatch, _mixture_score,
+                                 hessian_bound_bounded_support, marginal_at,
+                                 sample, score, score_hessian)
 from cmlab.rng import derive_seed
 
 
@@ -153,8 +155,10 @@ class TestScore:
 
     def test_degenerate_at_t_zero_raises(self):
         dist = MixtureParams.point_masses([[0.0]])
-        with pytest.raises(DegenerateDensityError):
-            score(dist, 0.0, np.array([[0.5]]))
+        # off the point, at it (where x - m_t is 0) and an empty batch
+        for x in ([[0.5]], [[0.0]], np.empty((0, 1))):
+            with pytest.raises(DegenerateDensityError):
+                score(dist, 0.0, np.asarray(x, dtype=float))
 
     def test_matches_finite_difference_gradient(self):
         dist = bimodal_1d()
@@ -167,6 +171,57 @@ class TestScore:
                   - bimodal_1d_log_density(t, x - step)) / (2 * step)
             s = score(dist, t, x)[0]
             assert abs(fd - s) <= 1e-6 * max(1.0, abs(s))
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestClosedFormScore:
+    """A single Gaussian's score is -(x - m_t) / v_t in closed form; it
+    must give the general kernel's bits, NaN rows and errors included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_general_kernel(self, data):
+        d = data.draw(st.integers(1, 8), label="d")
+        n = data.draw(st.integers(1, 300), label="n")
+        t = data.draw(st.just(0.0) | st.floats(0.0, 5.0, exclude_min=True),
+                      label="t")
+        # scales on both sides of the guard: diff^2 or v near overflow,
+        # v below 1e-300, log(2 pi v) infinite at 1.7e308
+        x_scale = data.draw(st.sampled_from(
+            [1.0, 1e-160, 1e100, 1e149, 1e151, 1e160]), label="x_scale")
+        v_scale = data.draw(st.sampled_from(
+            [1.0, 1e-305, 1e-3, 1e200, 1e299, 1.7e308]), label="v_scale")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        dist = MixtureParams.gaussian(x_scale * rng.normal(size=d),
+                                      v_scale * rng.uniform(0.5, 1.0, d))
+        x = x_scale * rng.normal(size=(n, d))
+        # a row at the marginal mean scores 0.0, never -0.0
+        x[rng.integers(n)] = marginal_at(dist, t).means[0]
+        fast = score(dist, t, x)
+        assert np.array_equal(bits(fast), bits(_mixture_score(dist, t, x)))
+        i = int(rng.integers(n))
+        assert np.array_equal(bits(score(dist, t, x[i:i + 1])),
+                              bits(fast[i:i + 1]))
+
+    @pytest.mark.parametrize("bad", [1e200, np.nan, np.inf])
+    def test_far_or_nan_row_keeps_general_bits(self, bad):
+        dist = MixtureParams.gaussian([0.3, -1.0], [2.0, 0.5])
+        x = derive_points(2, n=6)
+        x[2, 1] = bad
+        out = score(dist, 0.7, x)
+        assert np.array_equal(bits(out), bits(_mixture_score(dist, 0.7, x)))
+        assert np.isnan(out).any(axis=1).tolist() == [
+            False, False, True, False, False, False]
+        for i in (0, 5):     # a finite row scores as it does alone
+            assert np.array_equal(bits(score(dist, 0.7, x[i:i + 1])),
+                                  bits(out[i:i + 1]))
+
+    def test_empty_batch(self):
+        dist = MixtureParams.gaussian([0.3, -1.0], [2.0, 0.5])
+        assert score(dist, 0.7, np.empty((0, 2))).shape == (0, 2)
 
 
 def hessian_norms(dist, t, x):

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmlab import cli, harness
+from cmlab import cli, harness, models
 from cmlab.cli import main
 from cmlab.harness import (ConfigError, emit, fit_loglog, h_sweep_one_step,
                            ou_tv_bound_check, read_config, render_csv,
                            render_json, run_experiment)
-from cmlab.distributions import MixtureParams
+from cmlab.distributions import MixtureParams, _mixture_score
 
 
 class TestFitLoglog:
@@ -104,6 +104,17 @@ class TestRunExperiment:
         a = render_json(run_experiment(raw, seed=7))
         b = render_json(run_experiment(raw, seed=7))
         assert a == b
+
+    @pytest.mark.parametrize("core", [
+        h_sweep_one_step,
+        lambda n: harness.eps_sweep_one_step(inject="cm", n=n)],
+        ids=["h-sweep", "eps-cm-sweep"])
+    def test_closed_form_score_leaves_report_bytes(self, monkeypatch, core):
+        # the one-component closed form in `score` against the general
+        # kernel it replaces on these single-Gaussian sweeps
+        fast = render_json(core(n=2000))
+        monkeypatch.setattr(models, "score", _mixture_score)
+        assert render_json(core(n=2000)) == fast
 
     def test_crn_floor_is_h_independent_limit(self):
         dist = MixtureParams.gaussian([0.0, 0.0], [4.0, 4.0])
@@ -317,22 +328,22 @@ class TestCliRejects:
         ("sweep", {"kind": "ulmc-correction", "tau": 1e300, "n_steps": 1,
                    "n": 10}, "config rejected by ulmc-correction: "),
         # the score overflows to NaN, on which RK45 would step forever
-        pytest.param(
-            "sample", {"distribution": {"weights": [1.0], "means": [[1e200]],
-                                        "vars": [[1.0]]}, "n": 3},
-            "config rejected by sample: non-finite field value at t = ",
-            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+        ("sample", {"distribution": {"weights": [1.0], "means": [[1e200]],
+                                     "vars": [[1.0]]}, "n": 3},
+         "config rejected by sample: non-finite field value at t = "),
     ], ids=["n-text", "n-one", "sample-foreign-keys", "hessian-foreign-key",
             "weights-object", "n-bool", "seed-float", "sampler", "grid-null",
             "times-beyond-T", "times-beyond-T-grid", "ou-tv-square-overflow",
             "ou-tv-bound-overflow", "ulmc-tv-overflow",
             "reference-field-overflow"])
-    def test_malformed_config(self, tmp_path, capsys, command, config,
-                              message):
+    def test_malformed_config(self, tmp_path, capsys, recwarn, command,
+                              config, message):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
         assert main([command, "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+        # the error line is the whole report: no numpy warning before it
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
 
     @pytest.mark.parametrize("seed", ["-1", "1.5", str(2**64)])
     @pytest.mark.parametrize(
