@@ -31,8 +31,8 @@ _LOG_FLOOR = -745.0
 
 
 class DegenerateDensityError(ValueError):
-    """Raised when a density-based quantity is requested at t=0 for a
-    mixture containing zero-variance components."""
+    """Raised when a density-based quantity is requested at a time t at
+    which a component of p_t has zero variance."""
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,6 @@ class MixtureParams:
     @property
     def dim(self) -> int:
         return self.means.shape[1]
-
-    @property
-    def has_degenerate_component(self) -> bool:
-        return bool(np.any(self.variances == 0.0))
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MixtureParams":
@@ -182,16 +178,15 @@ def _posterior(dist: MixtureParams, t: float, x: np.ndarray):
     (n, K, d), and p_t itself.
 
     Responsibilities are formed in log space with log-sum-exp, so far-tail
-    points do not underflow.
+    points do not underflow.  A zero variance entry in p_t raises
+    DegenerateDensityError: a zero-variance component keeps it at t = 0,
+    and at any t so small that 1 - e^{-2t} rounds to 0.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0.0 and dist.has_degenerate_component:
-        raise DegenerateDensityError(
-            "density is degenerate at t=0 for zero-variance components; "
-            "use t > 0"
-        )
     mix = marginal_at(dist, t)
+    if np.any(mix.variances == 0.0):
+        raise DegenerateDensityError(
+            f"density is degenerate at t={t}: a component has zero "
+            "variance; use a larger t")
     # A far-out or NaN point gives NaN here, not a warning; callers that
     # integrate the score reject the non-finite value.
     with np.errstate(over="ignore", invalid="ignore"):

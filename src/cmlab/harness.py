@@ -26,9 +26,10 @@ from .distributions import (MixtureParams, SampleBatch,
                             sample, score, score_hessian)
 from .metrics import (fit_gaussian, tv_gaussian_1d, w2_fit_pair,
                       w2_gaussian_fit, w2_sliced)
-from .models import (discretized_cm, estimate_lipschitz, exact_cm,
-                     exact_score_model, measure_cm_error, measure_score_error,
-                     perturb_cm, perturb_score)
+from .models import (discretized_cm, empirical_cm, estimate_lipschitz,
+                     exact_cm, exact_score_model, measure_cm_error,
+                     measure_score_error, perturb_cm, perturb_score,
+                     recover_score)
 from .objectives import ParametricCM, grad_gap
 from .rng import derive_rng, derive_seed
 from .samplers import (fixed_time_schedule, multistep, one_step, ou_smooth,
@@ -304,8 +305,6 @@ def score_recovery_experiment(seed: int = 0) -> dict:
     """Recover a score model at the second grid time from a consistency
     map built on a perturbed score, and compare its L2(p_{t_2}) error to
     the combined consistency/score error budget."""
-    from .models import empirical_cm, recover_score
-
     dist = MixtureParams.gaussian([0.0], [4.0])
     grid = build_grid(0.01, 0.1, 1.0)
     pert_seed = derive_seed(seed, "inject-seed")
@@ -518,27 +517,19 @@ def run_experiment(raw, kind: Optional[str] = None,
     return {"kind": kind, "seed": root, "config": params, "result": body}
 
 
-def _jsonable(obj):
-    """Recursively convert numpy scalars/arrays to plain Python types."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
+def _numpy_to_python(obj):
+    """json's hook for what it cannot write: numpy arrays and scalars
+    become Python lists and values; anything else is an error."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
+                    "serializable")
 
 
 def render_json(report: dict) -> str:
     """Canonical JSON: sorted keys, fixed separators, LF newline at end."""
-    return json.dumps(_jsonable(report), sort_keys=True,
-                      separators=(",", ":"), allow_nan=False) + "\n"
+    return json.dumps(report, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False, default=_numpy_to_python) + "\n"
 
 
 def _rows_of(report: dict) -> list[dict]:

@@ -27,15 +27,11 @@ image is the same, bit for bit, whatever it is stacked with;
 batches together.  A score that multiplies the batch through BLAS (the
 sine perturbation's x @ omega.T) can differ in the last bit when a
 one-row batch is stacked with others.
-
-Every model records how it was built in its provenance dict, whose
-"kind" names the constructor and which nests the provenance of the model
-it was built from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -51,14 +47,13 @@ _BOUNDARY_TOL = 1e-12
 
 @dataclass
 class ScoreModel:
-    """Deterministic score field s(x, t) with provenance metadata."""
+    """Deterministic score field s(x, t) at a float (n, d) batch x."""
 
     fn: Callable[[np.ndarray, float], np.ndarray]
     dim: int
-    provenance: dict = field(default_factory=dict)
 
-    def __call__(self, x, t: float) -> np.ndarray:
-        return self.fn(np.asarray(x, dtype=float), t)
+    def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
+        return self.fn(x, t)
 
 
 Pairs = list[tuple[np.ndarray, float]]
@@ -75,7 +70,6 @@ class ConsistencyModel:
     fn: Callable[[Pairs], list[np.ndarray]]
     dim: int
     delta: float
-    provenance: dict = field(default_factory=dict)
 
     def __call__(self, x, t: float) -> np.ndarray:
         return self.many([(x, t)])[0]
@@ -109,11 +103,7 @@ class _SineField:
 
 
 def exact_score_model(dist: MixtureParams) -> ScoreModel:
-    return ScoreModel(
-        fn=lambda x, t: score(dist, t, x),
-        dim=dist.dim,
-        provenance={"kind": "exact"},
-    )
+    return ScoreModel(fn=lambda x, t: score(dist, t, x), dim=dist.dim)
 
 
 def perturb_score(dist: MixtureParams, eps_target: float,
@@ -124,10 +114,7 @@ def perturb_score(dist: MixtureParams, eps_target: float,
     g = _SineField(dist.dim, seed)
     return ScoreModel(
         fn=lambda x, t: score(dist, t, x) + eps_target * g(x, t),
-        dim=dist.dim,
-        provenance={"kind": "perturbed", "eps_target": eps_target,
-                    "seed": int(seed)},
-    )
+        dim=dist.dim)
 
 
 def empirical_cm(score_model: ScoreModel, delta: float) -> ConsistencyModel:
@@ -136,11 +123,7 @@ def empirical_cm(score_model: ScoreModel, delta: float) -> ConsistencyModel:
     return ConsistencyModel(
         fn=lambda pairs: [integrate_reference(pf_field(score_model), x, t,
                                               delta) for x, t in pairs],
-        dim=score_model.dim,
-        delta=delta,
-        provenance={"kind": "empirical",
-                    "score": dict(score_model.provenance)},
-    )
+        dim=score_model.dim, delta=delta)
 
 
 def exact_cm(dist: MixtureParams, delta: float) -> ConsistencyModel:
@@ -175,13 +158,7 @@ def discretized_cm(score_model: ScoreModel, grid: TimeGrid) -> ConsistencyModel:
                 xs[i], ts[i] = y, lo
         return xs
 
-    return ConsistencyModel(
-        fn=run,
-        dim=score_model.dim,
-        delta=delta,
-        provenance={"kind": "discretized", "h": grid.h, "T": grid.T,
-                    "delta": delta, "score": dict(score_model.provenance)},
-    )
+    return ConsistencyModel(fn=run, dim=score_model.dim, delta=delta)
 
 
 def perturb_cm(base: ConsistencyModel, eps_target: float,
@@ -201,13 +178,7 @@ def perturb_cm(base: ConsistencyModel, eps_target: float,
         return [y + eps_target * (t - delta) * g(x, t)
                 for y, (x, t) in zip(base.many(pairs), pairs)]
 
-    return ConsistencyModel(
-        fn=fn,
-        dim=base.dim,
-        delta=delta,
-        provenance={"kind": "perturbed", "eps_target": eps_target,
-                    "seed": int(seed), "base": dict(base.provenance)},
-    )
+    return ConsistencyModel(fn=fn, dim=base.dim, delta=delta)
 
 
 def measure_score_error(model: ScoreModel, dist: MixtureParams,
@@ -282,9 +253,4 @@ def recover_score(cm: ConsistencyModel, grid: TimeGrid) -> ScoreModel:
     def fn(x: np.ndarray, t: float) -> np.ndarray:
         return (cm(x, t2) - growth * x) / denom
 
-    return ScoreModel(
-        fn=fn,
-        dim=cm.dim,
-        provenance={"kind": "recovered", "t2": t2, "h1": h1,
-                    "base": dict(cm.provenance)},
-    )
+    return ScoreModel(fn=fn, dim=cm.dim)

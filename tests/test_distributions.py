@@ -155,10 +155,14 @@ class TestScore:
 
     def test_degenerate_at_t_zero_raises(self):
         dist = MixtureParams.point_masses([[0.0]])
-        # off the point, at it (where x - m_t is 0) and an empty batch
-        for x in ([[0.5]], [[0.0]], np.empty((0, 1))):
-            with pytest.raises(DegenerateDensityError):
-                score(dist, 0.0, np.asarray(x, dtype=float))
+        # off the point, at it (where x - m_t is 0) and an empty batch, at
+        # t = 0 and at a t whose 1 - e^{-2t} rounds to 0
+        for t in (0.0, 1e-20):
+            for x in ([[0.5]], [[0.0]], np.empty((0, 1))):
+                x = np.asarray(x, dtype=float)
+                for fn in (score, score_hessian):
+                    with pytest.raises(DegenerateDensityError):
+                        fn(dist, t, x)
 
     def test_matches_finite_difference_gradient(self):
         dist = bimodal_1d()

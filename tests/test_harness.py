@@ -131,14 +131,24 @@ class TestRendering:
                 "result": {"rows": [{"h": np.float64(0.1),
                                      "w2": np.float64(0.5),
                                      "ok": np.True_},
-                                    {"h": 0.05, "w2": 0.25, "ok": True}]}}
+                                    {"h": 0.05, "w2": 0.25, "ok": True}],
+                           "n": np.int64(3),
+                           "cov": np.array([[1.0, 0.5], [0.5, 2.0]]),
+                           "span": (0.1, np.float64(1 / 3))}}
 
     def test_json_is_canonical_and_parses(self):
         text = render_json(self._report())
-        assert text.endswith("\n")
-        parsed = json.loads(text)
-        assert parsed["result"]["rows"][0]["ok"] is True
+        assert text == (
+            '{"kind":"demo","result":{"cov":[[1.0,0.5],[0.5,2.0]],"n":3,'
+            '"rows":[{"h":0.1,"ok":true,"w2":0.5},'
+            '{"h":0.05,"ok":true,"w2":0.25}],'
+            '"span":[0.1,0.3333333333333333]},"seed":1}\n')
+        assert json.loads(text)["result"]["rows"][0]["ok"] is True
         assert render_json(self._report()) == text
+
+    def test_json_rejects_what_it_cannot_write(self):
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            render_json({"points": {1.0}})
 
     def test_csv_fixed_columns_lf(self):
         text = render_csv(self._report())
@@ -331,11 +341,16 @@ class TestCliRejects:
         ("sample", {"distribution": {"weights": [1.0], "means": [[1e200]],
                                      "vars": [[1.0]]}, "n": 3},
          "config rejected by sample: non-finite field value at t = "),
+        # 1 - e^{-2t} rounds to 0 at t = 1e-20: p_t is still a point mass
+        ("sample", {"distribution": {"weights": [1.0], "means": [[0.0]],
+                                     "vars": [[0.0]]}, "delta": 1e-20,
+                    "n": 3},
+         "config rejected by sample: density is degenerate at t="),
     ], ids=["n-text", "n-one", "sample-foreign-keys", "hessian-foreign-key",
             "weights-object", "n-bool", "seed-float", "sampler", "grid-null",
             "times-beyond-T", "times-beyond-T-grid", "ou-tv-square-overflow",
             "ou-tv-bound-overflow", "ulmc-tv-overflow",
-            "reference-field-overflow"])
+            "reference-field-overflow", "point-mass-tiny-t"])
     def test_malformed_config(self, tmp_path, capsys, recwarn, command,
                               config, message):
         path = tmp_path / "c.json"

@@ -1,7 +1,9 @@
-"""Every name a `cmlab` module imports is used in it or re-exported.
+"""Every name a `cmlab` module imports is used in it or re-exported, and
+every import is at module level.
 
-A stand-in for a linter's unused-import rule: it parses each module with
-`ast`, so it needs nothing beyond the standard library.
+Stand-ins for a linter's unused-import and import-position rules: they
+parse each module with `ast`, so they need nothing beyond the standard
+library.
 """
 
 import ast
@@ -48,6 +50,29 @@ def test_a_stray_import_is_found():
               "import json\nfrom .rng import derive_rng, derive_seed\n"
               "__all__ = ['derive_seed']\nderive_rng(0)\n")
     assert unused_imports(source) == ["json (line 2)"]
+
+
+def nested_imports(source: str) -> list[str]:
+    """Import statements that are not at the top level of the module,
+    e.g. inside a function, class or `if` block."""
+    tree = ast.parse(source)
+    top = {id(node) for node in tree.body}
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and id(node) not in top]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_imports_are_at_module_level(path):
+    assert nested_imports(path.read_text()) == []
+
+
+def test_a_nested_import_is_found():
+    source = ("import json\n"
+              "def f():\n    from .rng import derive_rng\n    return 1\n"
+              "if json:\n    import os\n")
+    assert nested_imports(source) == ["line 3", "line 6"]
 
 
 def test_no_module_imports_scipy_stats():
