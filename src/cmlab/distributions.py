@@ -10,6 +10,23 @@ general mixture kernel's bits (see `score`).  `ou_forward` is the one
 forward OU kernel that noises a sample, and `draw` the one mixture draw;
 the samplers and the training objectives all call them.
 
+The score kernel is coordinate-major.  It takes and returns (n, d)
+batches, but holds x inside as d rows of n entries, the posterior as
+(K, n) responsibilities and (K, d, n) component scores: numpy runs an
+(n, d) batch against a (1, d) or (1, K, d) operand d entries at a time,
+about ten times slower than one pass over n entries.  Its reductions
+repeat, row for row, the order of the row-major kernel it replaced (np.sum
+over (n, K, d) and scipy's logsumexp), so every score has that kernel's
+bits, the sign of a NaN aside: numpy's pairwise sum (`_pairwise`) over
+the d terms of a squared distance and over the K terms of the
+log-sum-exp, and over the K components of the score a sequential sum,
+pairwise at d = 1, where numpy merges the two axes.  Where two NaNs of
+opposite sign meet, numpy keeps the first operand's inside whole SIMD
+vectors and the second's in the scalar remainder of a loop, so the old
+kernel's NaN signs follow a row's place in the batch.  Here the n entries
+are padded to a multiple of 8, every elementwise loop runs whole vectors,
+and a row's bits, a NaN row's included, do not depend on its place.
+
 Conventions: the forward process is the standard OU process
 dx = -x dt + sqrt(2) dW, whose marginal at time t of a component
 N(mu, diag(s0)) is N(e^{-t} mu, diag(e^{-2t} s0 + 1 - e^{-2t})).
@@ -20,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .rng import derive_rng
 
@@ -152,17 +168,20 @@ def sample(dist: MixtureParams, n: int, seed: int) -> SampleBatch:
                                    derive_rng(seed, "mixture-sample")))
 
 
-def marginal_at(dist: MixtureParams, t: float) -> MixtureParams:
-    """Exact OU marginal p_t as a mixture: means shrink by e^{-t}, each
-    variance entry becomes e^{-2t} s0 + (1 - e^{-2t})."""
+def _ou_moments(dist: MixtureParams, t: float):
+    """The means and variances of the exact OU marginal p_t."""
     if t < 0:
         raise ValueError("t must be >= 0")
     decay = np.exp(-2.0 * t)
-    return MixtureParams(
-        weights=dist.weights,
-        means=np.exp(-t) * dist.means,
-        variances=decay * dist.variances + (1.0 - decay),
-    )
+    return np.exp(-t) * dist.means, decay * dist.variances + (1.0 - decay)
+
+
+def marginal_at(dist: MixtureParams, t: float) -> MixtureParams:
+    """Exact OU marginal p_t as a mixture: means shrink by e^{-t}, each
+    variance entry becomes e^{-2t} s0 + (1 - e^{-2t})."""
+    means, variances = _ou_moments(dist, t)
+    return MixtureParams(weights=dist.weights, means=means,
+                         variances=variances)
 
 
 def ou_forward(x: np.ndarray, tau: float, xi: np.ndarray) -> np.ndarray:
@@ -172,71 +191,143 @@ def ou_forward(x: np.ndarray, tau: float, xi: np.ndarray) -> np.ndarray:
     return np.exp(-tau) * x + np.sqrt(-np.expm1(-2.0 * tau)) * xi
 
 
+def _pairwise(a: np.ndarray, lo: int, n: int) -> np.ndarray:
+    """numpy's pairwise sum of a[lo:lo + n] over the leading axis:
+    sequential below 8 terms, eight interleaved partial sums up to 128,
+    and above that the two halves split at a multiple of 8."""
+    if n < 8:
+        total = a[lo]
+        for i in range(lo + 1, lo + n):
+            total = total + a[i]
+        return total
+    if n <= 128:
+        part = a[lo:lo + 8].copy()
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            part += a[i:i + 8]
+        total = (((part[0] + part[1]) + (part[2] + part[3]))
+                 + ((part[4] + part[5]) + (part[6] + part[7])))
+        for i in range(end, lo + n):
+            total = total + a[i]
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise(a, lo, half) + _pairwise(a, lo + half, n - half)
+
+
+def _pairwise_sum(a: np.ndarray) -> np.ndarray:
+    """The sum over the leading axis of a, with the bits np.sum gives over
+    a contiguous last axis: 0.0 plus the pairwise sum."""
+    return 0.0 + _pairwise(a, 0, a.shape[0])
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log sum_k exp(a_k) over the leading axis of a (K, n), step for step
+    as scipy.special.logsumexp takes it over a row: the shifted sum of
+    the terms below the row maximum, divided by the count m of maxima,
+    log1p(s) + log(m) + max, and log(sum(exp(a))) where that is not
+    finite.  The caller ignores the floating-point errors, as scipy
+    does."""
+    a_max = np.max(a, axis=0)
+    top = a == a_max
+    m = np.sum(top, axis=0, dtype=float)
+    s = _pairwise_sum(np.exp(np.where(top, -np.inf, a) - a_max))
+    s = np.where(s == 0, s, s / m)
+    out = np.log1p(s) + np.log(m) + a_max
+    bad = ~np.isfinite(out)
+    if bad.any():
+        out[bad] = np.log(_pairwise_sum(np.exp(a[:, bad])))
+    return out
+
+
 def _posterior(dist: MixtureParams, t: float, x: np.ndarray):
-    """The posterior over p_t's components at a batch x of shape (n, d):
-    responsibilities (n, K), per-component scores -(x - m_i) / s_i^2
-    (n, K, d), and p_t itself.
+    """The posterior over p_t's components at a batch x of shape (n, d),
+    coordinate-major: responsibilities (K, n8), per-component scores
+    -(x - m_i) / s_i^2 (K, d, n8), and p_t's variances (K, d).  The width
+    n8 is n rounded up to a multiple of 8 (see the module docstring); the
+    columns past n are padding.
 
     Responsibilities are formed in log space with log-sum-exp, so far-tail
     points do not underflow.  A zero variance entry in p_t raises
     DegenerateDensityError: a zero-variance component keeps it at t = 0,
     and at any t so small that 1 - e^{-2t} rounds to 0.
     """
-    mix = marginal_at(dist, t)
-    if np.any(mix.variances == 0.0):
+    means, variances = _ou_moments(dist, t)
+    if np.any(variances == 0.0):
         raise DegenerateDensityError(
             f"density is degenerate at t={t}: a component has zero "
             "variance; use a larger t")
+    v = variances[:, :, None]
     # A far-out or NaN point gives NaN here, not a warning; callers that
     # integrate the score reject the non-finite value.
-    with np.errstate(over="ignore", invalid="ignore"):
-        # log w_i + log N(x; m_i, diag(s_i^2)), shape (n, K)
-        diff = x[:, None, :] - mix.means[None, :, :]          # (n, K, d)
-        sq_dist = np.sum(diff * diff / mix.variances[None, :, :], axis=2)
-        lognorm = np.sum(np.log(2.0 * np.pi * mix.variances), axis=1)  # (K,)
-        logw = np.where(mix.weights > 0,
-                        np.log(np.maximum(mix.weights, 1e-300)), _LOG_FLOOR)
-        logterms = logw[None, :] - 0.5 * (sq_dist + lognorm[None, :])
-        log_p = logsumexp(logterms, axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # log w_i + log N(x; m_i, diag(s_i^2)), shape (K, n8)
+        xt = np.zeros((x.shape[1], -(-x.shape[0] // 8) * 8))
+        xt[:, :x.shape[0]] = x.T
+        diff = xt - means[:, :, None]                          # (K, d, n8)
+        sq = diff * diff
+        sq /= v
+        sq_dist = _pairwise_sum(sq.swapaxes(0, 1))
+        lognorm = np.sum(np.log(2.0 * np.pi * variances), axis=1)   # (K,)
+        logw = np.where(dist.weights > 0,
+                        np.log(np.maximum(dist.weights, 1e-300)), _LOG_FLOOR)
+        logterms = logw[:, None] - 0.5 * (sq_dist + lognorm[:, None])
+        log_p = _logsumexp(logterms)
         resp = np.exp(np.maximum(logterms - log_p, _LOG_FLOOR))
-        grad_i = -diff / mix.variances[None]
-    return resp, grad_i, mix
-
-
-def _mixture_score(dist: MixtureParams, t: float, x: np.ndarray
-                   ) -> np.ndarray:
-    """The general score kernel: the responsibility-weighted mean of the
-    per-component scores."""
-    resp, grad_i, _ = _posterior(dist, t, x)
-    return np.sum(resp[:, :, None] * grad_i, axis=1)
+        grad_i = np.negative(diff, out=diff)
+        grad_i /= v
+    return resp, grad_i, variances
 
 
 def score(dist: MixtureParams, t: float, x: np.ndarray) -> np.ndarray:
     """Exact score grad log p_t(x) (n, d): the responsibility-weighted
     mean of the per-component scores.
 
-    A single Gaussian's score is the closed form -(x - m_t) / v_t, and it
-    is returned directly, with the same bits as the general kernel, when
-    every row's squared distance is far from overflow: reach^2 * d <
-    1e300 * min v_t, where reach is the largest |x - m_t| entry, and
-    max v_t < 1e300, so that log(2 pi v_t) is finite.  Then the one
-    log-term is finite, logsumexp returns it exactly and the
+    The kernel works coordinate-major, on d rows of n entries, since
+    numpy takes an (n, d) batch against a (1, d) operand d entries at a
+    time; its sums repeat the row-major kernel's order (numpy's pairwise
+    sums over d and, in the log-sum-exp, over K; over K in the score a
+    sequential sum, pairwise at d = 1), so the score has that kernel's
+    bits, as the module docstring explains.  A row's score is that of the
+    row alone, bit for bit.
+
+    A single Gaussian's score is the closed form -(x - m_t) / v_t, taken
+    column by column and returned directly, with the same bits as the
+    general kernel, when every row's squared distance is far from
+    overflow: reach^2 * d < 1e300 * min v_t, where reach is the largest
+    |x - m_t| entry, and max v_t < 1e300, so that log(2 pi v_t) is
+    finite.  Then the one
+    log-term is finite, the log-sum-exp returns it exactly and the
     responsibility is exp(0) = 1.0; the one-term sum over components adds
     1.0 * g to 0.0, which 0.0 - (x - m_t) / v_t repeats, -0.0 entries
     turning into +0.0 included.  Any other batch (a row near overflow or
     NaN, a zero variance) takes the general kernel, which gives its NaN
-    rows or raises.  Either way a row's score is that of the row alone,
-    bit for bit."""
+    rows or raises."""
     if dist.n_components == 1:
-        mix = marginal_at(dist, t)
-        diff = x - mix.means
-        v = mix.variances
-        # Python floats: the guard's own overflow gives inf, not a warning
-        reach = float(np.abs(diff).max(initial=0.0))   # NaN if any is NaN
-        if (reach * reach * v.shape[1] < 1e300 * float(v.min())
+        means, variances = _ou_moments(dist, t)
+        m, v = means[0], variances[0]
+        out = np.empty(x.shape)
+        for j in range(x.shape[1]):
+            np.subtract(x[:, j], m[j], out=out[:, j])
+        # Python floats: the guard's own overflow gives inf, not a warning;
+        # a NaN entry makes both extremes, and so reach, NaN
+        reach = max(float(out.max(initial=0.0)),
+                    -float(out.min(initial=0.0)))
+        if (reach * reach * v.shape[0] < 1e300 * float(v.min())
                 and v.max() < 1e300):
-            return 0.0 - diff / v
-    return _mixture_score(dist, t, x)
+            for j in range(x.shape[1]):
+                col = out[:, j]
+                np.divide(col, v[j], out=col)
+                np.subtract(0.0, col, out=col)
+            return out
+    resp, grad_i, _ = _posterior(dist, t, x)
+    terms = np.multiply(resp[:, None, :], grad_i, out=grad_i)  # (K, d, n8)
+    if x.shape[1] == 1:
+        total = _pairwise_sum(terms)
+    else:
+        total = 0.0 + terms[0]
+        for term in terms[1:]:
+            total += term
+    return np.ascontiguousarray(total[:, :x.shape[0]].T)
 
 
 def score_hessian(dist: MixtureParams, t: float, x: np.ndarray) -> np.ndarray:
@@ -246,12 +337,15 @@ def score_hessian(dist: MixtureParams, t: float, x: np.ndarray) -> np.ndarray:
     Uses the posterior-covariance representation
     H = sum_i r_i (g_i g_i^T - diag(1/s_i^2)) - g g^T  with
     g_i the per-component score and g the mixture score.  Sums over
-    components are per-row products: a row's Hessian is that of the row
-    alone, bit for bit."""
-    resp, grad_i, mix = _posterior(dist, t, x)
+    components are per-row products, taken on row-major copies of the
+    posterior: a row's Hessian is that of the row alone, bit for bit."""
+    resp, grad_i, variances = _posterior(dist, t, x)
+    n = x.shape[0]
+    resp = np.ascontiguousarray(resp[:, :n].T)            # (n, K)
+    grad_i = np.ascontiguousarray(grad_i[:, :, :n].transpose(2, 0, 1))
     r = resp[:, None, :]                                  # (n, 1, K)
     g = np.matmul(r, grad_i)                              # (n, 1, d)
-    h = -np.eye(x.shape[1]) * np.matmul(r, 1.0 / mix.variances)
+    h = -np.eye(x.shape[1]) * np.matmul(r, 1.0 / variances)
     h = h + np.einsum("nk,nki,nkj->nij", resp, grad_i, grad_i)
     return h - np.swapaxes(g, 1, 2) * g
 

@@ -150,12 +150,13 @@ def discretized_cm(score_model: ScoreModel, grid: TimeGrid) -> ConsistencyModel:
         while (hi := max(ts)) > delta:
             level = [i for i, t in enumerate(ts) if t == hi]
             lo = max((p for p in inner if p < hi - tol), default=delta)
-            rows = np.cumsum([xs[i].shape[0] for i in level])[:-1]
             stacked = xs[level[0]] if len(level) == 1 \
                 else np.concatenate([xs[i] for i in level])
             out = exp_integrator_step(score_model, stacked, hi, lo)
-            for i, y in zip(level, np.split(out, rows)):
-                xs[i], ts[i] = y, lo
+            stop = 0
+            for i in level:
+                start, stop = stop, stop + xs[i].shape[0]
+                xs[i], ts[i] = out[start:stop], lo
         return xs
 
     return ConsistencyModel(fn=run, dim=score_model.dim, delta=delta)

@@ -124,15 +124,15 @@ def ct_loss(theta: ParametricCM, theta_minus: ParametricCM,
 
 
 def _loss_grads(theta: ParametricCM, t_lo: float, t_hi: float,
-                x_hi: np.ndarray, target: np.ndarray,
+                feat: np.ndarray, f_hi: np.ndarray, target: np.ndarray,
                 edges: np.ndarray) -> np.ndarray:
     """Gradient in theta of the loss on one interval's pairs, theta^-
     frozen at theta, one gradient per sample chunk [edges[k], edges[k+1]):
-    (2 c_hi / n_k) R_k^T Phi_k with c_hi = t_hi - delta, Phi the features
-    at (x_hi, t_hi) and R = f_theta(x_hi, t_hi) - f_theta(target, t_lo)."""
+    (2 c_hi / n_k) R_k^T Phi_k with c_hi = t_hi - delta, Phi = feat the
+    features at (x_hi, t_hi), f_hi = f_theta(x_hi, t_hi) and
+    R = f_hi - f_theta(target, t_lo)."""
     c_hi = t_hi - theta.delta
-    feat = theta.features(x_hi, t_hi)
-    resid = x_hi + c_hi * (feat @ theta.theta.T) - theta(target, t_lo)
+    resid = f_hi - theta(target, t_lo)
     return np.stack([(2.0 * c_hi / (b - a)) * (resid[a:b].T @ feat[a:b])
                      for a, b in zip(edges[:-1], edges[1:])])
 
@@ -157,10 +157,16 @@ def grad_gap(theta0: ParametricCM, dist: MixtureParams,
     edges = np.linspace(0, n_mc, n_chunks + 1).astype(int)
     for dt in dt_list:
         times = np.array([0.5, 0.5 + dt])
-        (cd_pair,) = _pairs(dist, times, n_mc, seed, score_exact)
-        (ct_pair,) = _pairs(dist, times, n_mc, seed)
-        diff = _loss_grads(theta0, *ct_pair, edges) \
-            - _loss_grads(theta0, *cd_pair, edges)
+        # the two objectives share their draws, so x_hi too, bit for bit:
+        # its features and f_theta(x_hi, t_hi) serve both gradients
+        ((t_lo, t_hi, x_hi, cd_target),) = _pairs(dist, times, n_mc, seed,
+                                                   score_exact)
+        ((*_, ct_target),) = _pairs(dist, times, n_mc, seed)
+        feat = theta0.features(x_hi, t_hi)
+        f_hi = x_hi + (t_hi - theta0.delta) * (feat @ theta0.theta.T)
+        shared = (t_lo, t_hi, feat, f_hi)
+        diff = _loss_grads(theta0, *shared, ct_target, edges) \
+            - _loss_grads(theta0, *shared, cd_target, edges)
         gap = float(np.linalg.norm(diff.mean(axis=0)))
         chunk_norms = np.linalg.norm(diff.reshape(n_chunks, -1), axis=1)
         se = float(chunk_norms.std(ddof=1) / np.sqrt(n_chunks))

@@ -5,10 +5,12 @@ from scipy.stats import norm
 
 from cmlab.acceptance import DEFAULT_SEED
 from cmlab.distributions import (DegenerateDensityError, MixtureParams,
-                                 SampleBatch, _mixture_score,
+                                 SampleBatch, _pairwise_sum,
                                  hessian_bound_bounded_support, marginal_at,
                                  sample, score, score_hessian)
 from cmlab.rng import derive_seed
+from reference_kernel import _mixture_score
+from reference_kernel import score_hessian as reference_hessian
 
 
 def bimodal_1d():
@@ -226,6 +228,85 @@ class TestClosedFormScore:
     def test_empty_batch(self):
         dist = MixtureParams.gaussian([0.3, -1.0], [2.0, 0.5])
         assert score(dist, 0.7, np.empty((0, 2))).shape == (0, 2)
+
+
+def one_nan_bits(a):
+    """bits(a) with every NaN made the one NaN np.nan.  Where two NaNs of
+    opposite sign meet in a product or a sum, numpy returns the first
+    operand's inside whole SIMD vectors and the second's in the scalar
+    remainder of a loop whose length is not a multiple of 8, so the sign
+    of the row-major kernel's NaN follows where its row sits in the
+    batch."""
+    a = np.ascontiguousarray(a)
+    return bits(np.where(np.isnan(a), np.nan, a))
+
+
+def random_mixture(data, k_min):
+    """A mixture with K in [k_min, 20] components (some of zero weight),
+    d in [1, 12], and an (n, d) batch, n in [0, 300], some of whose rows
+    hold NaN, +-inf or 1e160 entries."""
+    k = data.draw(st.integers(k_min, 20), label="K")
+    d = data.draw(st.integers(1, 12), label="d")
+    n = data.draw(st.integers(0, 300), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.integers(-3, 4)
+    w = rng.uniform(0.1, 1.0, k) * (rng.uniform(size=k) < 0.7)
+    w[rng.integers(k)] = 1.0
+    dist = MixtureParams(w / w.sum(), scale * rng.normal(size=(k, d)),
+                         scale**2 * rng.uniform(0.01, 2.0, (k, d)))
+    x = 3.0 * scale * rng.normal(size=(n, d))
+    for bad in (np.nan, np.inf, -np.inf, 1e160, -1e160):
+        for i in rng.integers(n, size=rng.integers(3)) if n else ():
+            x[i, rng.uniform(size=d) < 0.5] = bad
+    return dist, x, rng
+
+
+class TestKernelAgainstReference:
+    """The coordinate-major kernel against the row-major one it replaced
+    (tests/reference_kernel.py), bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_score_and_hessian_equal_reference(self, data):
+        dist, x, _ = random_mixture(data, 1)
+        t = data.draw(st.floats(0.0, 5.0, exclude_min=True), label="t")
+        for fn, reference in ((score, _mixture_score),
+                              (score_hessian, reference_hessian)):
+            try:
+                expect = reference(dist, t, x)
+            except DegenerateDensityError:
+                with pytest.raises(DegenerateDensityError):
+                    fn(dist, t, x)
+                continue
+            got = fn(dist, t, x)
+            assert got.shape == expect.shape
+            assert np.array_equal(one_nan_bits(got), one_nan_bits(expect))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_row_scores_as_it_does_alone(self, data):
+        dist, x, rng = random_mixture(data, 2)
+        if x.shape[0] == 0:
+            return
+        out = score(dist, 0.7, x)
+        rows = [int(rng.integers(x.shape[0]))]
+        rows += np.flatnonzero(~np.isfinite(x).all(axis=1))[:1].tolist()
+        for i in rows:
+            assert np.array_equal(bits(score(dist, 0.7, x[i:i + 1])),
+                                  bits(out[i:i + 1]))
+
+
+def test_pairwise_sum_is_numpys_sum():
+    rng = np.random.default_rng(0)
+    for length in range(1, 301):
+        a = rng.normal(size=(length, 16)) \
+            * 10.0 ** rng.integers(-12, 13, size=(length, 16))
+        a[rng.uniform(size=a.shape) < 0.1] = -0.0
+        expect = np.sum(np.ascontiguousarray(a.T), axis=1)
+        assert np.array_equal(bits(_pairwise_sum(a)), bits(expect)), (
+            f"length {length}: _pairwise_sum no longer repeats np.sum; "
+            f"the installed numpy {np.__version__} likely sums a "
+            "contiguous axis in another order")
 
 
 def hessian_norms(dist, t, x):

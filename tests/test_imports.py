@@ -86,3 +86,15 @@ def test_no_module_imports_scipy_stats():
                          env={**os.environ,
                               "PYTHONPATH": str(SRC.parent)}).stdout
     assert out.strip() == "[]"
+
+
+def test_distributions_imports_nothing_from_scipy():
+    # the score kernel repeats scipy's logsumexp with numpy steps, so its
+    # bit contract is with numpy alone
+    code = ("import sys, cmlab.distributions\n"
+            "print([k for k in sys.modules if k.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ,
+                              "PYTHONPATH": str(SRC.parent)}).stdout
+    assert out.strip() == "[]"

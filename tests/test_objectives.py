@@ -169,8 +169,11 @@ class TestGradGap:
                                      times, n_mc, seed),
         }
         for name, score_model in (("cd", sm), ("ct", None)):
-            (pair,) = _pairs(dist, times, n_mc, seed, score_model)
-            grad = _loss_grads(pcm, *pair, np.array([0, n_mc]))[0]
+            ((t_lo, t_hi, x_hi, target),) = _pairs(dist, times, n_mc, seed,
+                                                   score_model)
+            grad = _loss_grads(pcm, t_lo, t_hi, pcm.features(x_hi, t_hi),
+                               pcm(x_hi, t_hi), target,
+                               np.array([0, n_mc]))[0]
             fd = np.empty_like(theta0)
             for j in range(theta0.shape[1]):
                 bump = np.zeros_like(theta0)
