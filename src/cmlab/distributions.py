@@ -191,33 +191,34 @@ def ou_forward(x: np.ndarray, tau: float, xi: np.ndarray) -> np.ndarray:
     return np.exp(-tau) * x + np.sqrt(-np.expm1(-2.0 * tau)) * xi
 
 
-def _pairwise(a: np.ndarray, lo: int, n: int) -> np.ndarray:
-    """numpy's pairwise sum of a[lo:lo + n] over the leading axis:
-    sequential below 8 terms, eight interleaved partial sums up to 128,
-    and above that the two halves split at a multiple of 8."""
+def _pairwise(a: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum over the leading axis of a: sequential below 8
+    terms, eight interleaved partial sums up to 128, and above that the
+    sum of the two halves split at a multiple of 8."""
+    n = a.shape[0]
     if n < 8:
-        total = a[lo]
-        for i in range(lo + 1, lo + n):
-            total = total + a[i]
+        total = a[0]
+        for row in a[1:]:
+            total = total + row
         return total
     if n <= 128:
-        part = a[lo:lo + 8].copy()
-        end = lo + n - n % 8
-        for i in range(lo + 8, end, 8):
+        part = a[:8].copy()
+        end = n - n % 8
+        for i in range(8, end, 8):
             part += a[i:i + 8]
         total = (((part[0] + part[1]) + (part[2] + part[3]))
                  + ((part[4] + part[5]) + (part[6] + part[7])))
-        for i in range(end, lo + n):
-            total = total + a[i]
+        for row in a[end:]:
+            total = total + row
         return total
     half = n // 2 - n // 2 % 8
-    return _pairwise(a, lo, half) + _pairwise(a, lo + half, n - half)
+    return _pairwise(a[:half]) + _pairwise(a[half:])
 
 
 def _pairwise_sum(a: np.ndarray) -> np.ndarray:
     """The sum over the leading axis of a, with the bits np.sum gives over
     a contiguous last axis: 0.0 plus the pairwise sum."""
-    return 0.0 + _pairwise(a, 0, a.shape[0])
+    return 0.0 + _pairwise(a)
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -295,13 +296,12 @@ def score(dist: MixtureParams, t: float, x: np.ndarray) -> np.ndarray:
     general kernel, when every row's squared distance is far from
     overflow: reach^2 * d < 1e300 * min v_t, where reach is the largest
     |x - m_t| entry, and max v_t < 1e300, so that log(2 pi v_t) is
-    finite.  Then the one
-    log-term is finite, the log-sum-exp returns it exactly and the
-    responsibility is exp(0) = 1.0; the one-term sum over components adds
-    1.0 * g to 0.0, which 0.0 - (x - m_t) / v_t repeats, -0.0 entries
-    turning into +0.0 included.  Any other batch (a row near overflow or
-    NaN, a zero variance) takes the general kernel, which gives its NaN
-    rows or raises."""
+    finite.  Then the one log-term is finite, the log-sum-exp returns it
+    exactly and the responsibility is exp(0) = 1.0; the one-term sum over
+    components adds 1.0 * g to 0.0, which 0.0 - (x - m_t) / v_t repeats,
+    -0.0 entries turning into +0.0 included.  Any other batch (a row near
+    overflow or NaN, a zero variance) takes the general kernel, which
+    gives its NaN rows or raises."""
     if dist.n_components == 1:
         means, variances = _ou_moments(dist, t)
         m, v = means[0], variances[0]
