@@ -48,8 +48,10 @@ def fit_loglog(xs, ys) -> dict:
     ys = np.asarray(ys, dtype=float)
     if xs.shape[0] < 3:
         raise ValueError("need >= 3 points")
-    if np.any(xs <= 0) or np.any(ys <= 0):
-        raise ValueError("all values must be positive for a log-log fit")
+    if not (np.all(np.isfinite(xs) & (xs > 0))
+            and np.all(np.isfinite(ys) & (ys > 0))):
+        raise ValueError("all values must be finite and positive for a "
+                         "log-log fit")
     lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)

@@ -1,13 +1,15 @@
-"""Consistency distillation (CD) and consistency training (CT) objectives
-on a linear-in-parameters family, and the check that their parameter
-gradients agree to second order in the grid spacing.
+"""Parameter gradients of the consistency distillation (CD) and
+consistency training (CT) objectives on one grid interval, and the check
+that they agree to second order in the interval's length.
 
 The parametric map is f_theta(x, t) = x + (t - delta) * Phi(x, t) theta^T
 with m fixed random sinusoidal features Phi.  The boundary condition
-f_theta(x, delta) = x holds for every theta, and linearity in theta makes
-each loss quadratic in theta, so its gradient has a closed form.
+f_theta(x, delta) = x holds for every theta.  On [t_lo, t_hi] both
+objectives are E || f_theta(x_{t_hi}, t_hi) - f_{theta^-}(target, t_lo) ||^2
+with their own target; linearity in theta makes this quadratic in theta,
+so the gradient has a closed form and no loss is ever evaluated.
 
-Points are (n, d) batches, and a grid is a 1-d array of increasing times.
+Points are (n, d) batches.
 """
 
 from __future__ import annotations
@@ -58,69 +60,20 @@ class ParametricCM:
         return x + (t - self.delta) * (self.features(x, t) @ self.theta.T)
 
 
-def _times_of(grid) -> np.ndarray:
-    times = np.atleast_1d(np.asarray(grid, dtype=float))
-    if times.shape[0] < 2 or not np.all(np.diff(times) > 0):
-        raise ValueError("grid must contain >= 2 strictly increasing times")
-    return times
-
-
-def _ct_coef(t_lo: float, t_hi: float) -> float:
-    return -np.expm1(-(t_lo + t_hi)) / np.sqrt(-np.expm1(-2.0 * t_hi))
-
-
-def _pairs(dist: MixtureParams, times: np.ndarray, n_mc: int, seed: int,
-           score_model: ScoreModel | None = None):
-    """Yield (t_lo, t_hi, x_{t_hi}, target) for each grid interval that
-    holds draws.  cd_loss and ct_loss share the draws (common random
-    numbers): interval indices, data x_0 and noise z, from one stream.
-    The CD target (score_model given) is one exponential-integrator step
-    of x_{t_hi} under the score model; the CT target (score_model None) is
+def _draws(dist: MixtureParams, t_lo: float, t_hi: float, n_mc: int,
+           seed: int, score_model: ScoreModel):
+    """(x_{t_hi}, CD target, CT target) on the interval [t_lo, t_hi] from
+    one draw of data x_0 and noise z, so the two objectives share their
+    random numbers.  The CD target is one exponential-integrator step of
+    x_{t_hi} to t_lo under the score model; the CT target is
     e^{-t_lo} x_0 + ((1 - e^{-(t_lo + t_hi)}) / sqrt(1 - e^{-2 t_hi})) z."""
     rng = derive_rng(seed, "objective")
-    n_idx = rng.integers(0, times.shape[0] - 1, size=n_mc)
     x0 = draw(dist, n_mc, rng)
     z = rng.standard_normal((n_mc, dist.dim))
-    for i in range(times.shape[0] - 1):
-        mask = n_idx == i
-        if not np.any(mask):
-            continue
-        t_lo, t_hi = float(times[i]), float(times[i + 1])
-        x_hi = ou_forward(x0[mask], t_hi, z[mask])
-        if score_model is None:
-            target = np.exp(-t_lo) * x0[mask] + _ct_coef(t_lo, t_hi) * z[mask]
-        else:
-            target = exp_integrator_step(score_model, x_hi, t_hi, t_lo)
-        yield t_lo, t_hi, x_hi, target
-
-
-def _loss(theta: ParametricCM, theta_minus: ParametricCM, pairs,
-          n_mc: int) -> float:
-    total = 0.0
-    for t_lo, t_hi, x_hi, target in pairs:
-        diff = theta(x_hi, t_hi) - theta_minus(target, t_lo)
-        total += float(np.sum(diff**2))
-    return total / n_mc
-
-
-def cd_loss(theta: ParametricCM, theta_minus: ParametricCM,
-            score_model: ScoreModel, dist: MixtureParams, grid, n_mc: int,
-            seed: int) -> float:
-    """Distillation objective: E || f_theta(x_{t_{n+1}}, t_{n+1})
-    - f_{theta^-}(xhat_{t_n}, t_n) ||^2 with xhat one
-    exponential-integrator step of x_{t_{n+1}} under the score model and n
-    uniform over the grid intervals."""
-    pairs = _pairs(dist, _times_of(grid), n_mc, seed, score_model)
-    return _loss(theta, theta_minus, pairs, n_mc)
-
-
-def ct_loss(theta: ParametricCM, theta_minus: ParametricCM,
-            dist: MixtureParams, grid, n_mc: int, seed: int) -> float:
-    """Training objective: same first term as cd_loss, but the second
-    argument is built from the shared draws (x_0, z) without a score model:
-    e^{-t_n} x_0 + ((1 - e^{-(t_n + t_{n+1})}) / sqrt(1 - e^{-2 t_{n+1}})) z."""
-    pairs = _pairs(dist, _times_of(grid), n_mc, seed)
-    return _loss(theta, theta_minus, pairs, n_mc)
+    x_hi = ou_forward(x0, t_hi, z)
+    coef = -np.expm1(-(t_lo + t_hi)) / np.sqrt(-np.expm1(-2.0 * t_hi))
+    return (x_hi, exp_integrator_step(score_model, x_hi, t_hi, t_lo),
+            np.exp(-t_lo) * x0 + coef * z)
 
 
 def _loss_grads(theta: ParametricCM, t_lo: float, t_hi: float,
@@ -156,20 +109,24 @@ def grad_gap(theta0: ParametricCM, dist: MixtureParams,
     out = []
     edges = np.linspace(0, n_mc, n_chunks + 1).astype(int)
     for dt in dt_list:
-        times = np.array([0.5, 0.5 + dt])
-        # the two objectives share their draws, so x_hi too, bit for bit:
-        # its features and f_theta(x_hi, t_hi) serve both gradients
-        ((t_lo, t_hi, x_hi, cd_target),) = _pairs(dist, times, n_mc, seed,
-                                                   score_exact)
-        ((*_, ct_target),) = _pairs(dist, times, n_mc, seed)
-        feat = theta0.features(x_hi, t_hi)
-        f_hi = x_hi + (t_hi - theta0.delta) * (feat @ theta0.theta.T)
-        shared = (t_lo, t_hi, feat, f_hi)
-        diff = _loss_grads(theta0, *shared, ct_target, edges) \
-            - _loss_grads(theta0, *shared, cd_target, edges)
-        gap = float(np.linalg.norm(diff.mean(axis=0)))
-        chunk_norms = np.linalg.norm(diff.reshape(n_chunks, -1), axis=1)
-        se = float(chunk_norms.std(ddof=1) / np.sqrt(n_chunks))
+        t_lo, t_hi = 0.5, 0.5 + dt
+        # a step too long for e^dt overflows; the check below names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_hi, cd_target, ct_target = _draws(dist, t_lo, t_hi, n_mc, seed,
+                                                score_exact)
+            # one draw serves both objectives, so the features and
+            # f_theta(x_hi, t_hi) serve both gradients
+            feat = theta0.features(x_hi, t_hi)
+            f_hi = x_hi + (t_hi - theta0.delta) * (feat @ theta0.theta.T)
+            shared = (t_lo, t_hi, feat, f_hi)
+            diff = _loss_grads(theta0, *shared, ct_target, edges) \
+                - _loss_grads(theta0, *shared, cd_target, edges)
+            gap = float(np.linalg.norm(diff.mean(axis=0)))
+            chunk_norms = np.linalg.norm(diff.reshape(n_chunks, -1), axis=1)
+            se = float(chunk_norms.std(ddof=1) / np.sqrt(n_chunks))
+        if not np.isfinite([gap, se]).all():
+            raise ValueError(f"grad_gap at dt={dt}: gap {gap} or its std "
+                             f"error {se} is not finite")
         if gap < 10.0 * se:
             warnings.warn(
                 f"grad_gap at dt={dt}: gap {gap:.3e} is within 10x its "

@@ -107,10 +107,14 @@ def ulmc_run(score_model: ScoreModel, batch: SampleBatch, gamma: float,
     v = derive_rng(seed, "ulmc-v0").standard_normal(z.shape)
 
     if gamma == 0.0:
-        for k in range(n_steps):
-            s0 = score_model(z, t)
-            z = z + tau * v + 0.5 * tau**2 * s0
-            v = v + tau * s0
+        # a step too long for tau**2 leaves inf and NaN entries, which
+        # SampleBatch rejects; numpy's power gives inf where Python's raises
+        with np.errstate(over="ignore", invalid="ignore"):
+            half_sq = 0.5 * np.float64(tau)**2
+            for k in range(n_steps):
+                s0 = score_model(z, t)
+                z = z + tau * v + half_sq * s0
+                v = v + tau * s0
         return SampleBatch(points=z)
 
     decay = np.exp(-gamma * tau)

@@ -33,6 +33,11 @@ class TestFitLoglog:
             fit_loglog([1.0, 2.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             fit_loglog([1.0, 2.0, 3.0], [1.0, -1.0, 2.0])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                fit_loglog([1.0, 2.0, 3.0], [1.0, bad, 2.0])
+            with pytest.raises(ValueError, match="finite"):
+                fit_loglog([1.0, bad, 3.0], [1.0, 2.0, 2.0])
 
 
 class TestExperimentConfig:
@@ -347,11 +352,22 @@ class TestCliRejects:
                                      "vars": [[0.0]]}, "delta": 1e-20,
                     "n": 3},
          "config rejected by sample: density is degenerate at t="),
+        # e^dt overflows in the exponential-integrator step
+        ("gradcheck", {"dt_list": [1000, 900, 800]},
+         "config rejected by gradcheck: grad_gap at dt=1000.0: "),
+        ("sweep", {"kind": "gradcheck", "dt_list": [1000, 900, 800]},
+         "config rejected by gradcheck: grad_gap at dt=1000.0: "),
+        # tau**2 overflows in the ballistic (gamma = 0) corrector step
+        ("sample", {"sampler": "one-step+ulmc", "gamma": 0, "tau": 1e200,
+                    "n": 3},
+         "config rejected by sample: batch contains NaN/Inf entries"),
     ], ids=["n-text", "n-one", "sample-foreign-keys", "hessian-foreign-key",
             "weights-object", "n-bool", "seed-float", "sampler", "grid-null",
             "times-beyond-T", "times-beyond-T-grid", "ou-tv-square-overflow",
             "ou-tv-bound-overflow", "ulmc-tv-overflow",
-            "reference-field-overflow", "point-mass-tiny-t"])
+            "reference-field-overflow", "point-mass-tiny-t",
+            "gradcheck-step-overflow", "sweep-gradcheck-step-overflow",
+            "ulmc-ballistic-overflow"])
     def test_malformed_config(self, tmp_path, capsys, recwarn, command,
                               config, message):
         path = tmp_path / "c.json"
