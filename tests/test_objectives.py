@@ -84,6 +84,20 @@ class TestCtLoss:
                   + (np.sqrt(-np.expm1(-2 * t_hi)) - coef) ** 2)
         assert val == pytest.approx(closed, rel=0.02)
 
+    def test_nonnegative_and_deterministic(self):
+        # the CT loss of the parametric map on one interval, built from the
+        # CT target of a seeded draw: nonnegative, and the same on a rerun
+        pcm = ParametricCM.create(1, 16, 0, 0.01)
+        args = (wide(), 0.4, 0.8, 2000, 9, exact_score_model(wide()))
+
+        def ct_value():
+            x_hi, _, ct_target = _draws(*args)
+            return quadratic_loss(pcm, pcm, 0.4, 0.8, x_hi, ct_target)
+
+        v1 = ct_value()
+        assert v1 >= 0.0
+        assert ct_value() == v1
+
 
 class TestGradGap:
     # at these modest n_mc the helper warns that the gap is close to its
