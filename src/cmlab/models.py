@@ -47,7 +47,11 @@ _BOUNDARY_TOL = 1e-12
 
 @dataclass
 class ScoreModel:
-    """Deterministic score field s(x, t) at a float (n, d) batch x."""
+    """Deterministic score field s(x, t) at a float (n, d) batch x.
+
+    fn returns a new float (n, d) array, sharing no memory with x or with
+    any earlier result, which its caller may overwrite:
+    `flows.exp_integrator_step` does."""
 
     fn: Callable[[np.ndarray, float], np.ndarray]
     dim: int

@@ -114,6 +114,16 @@ def grad_gap(theta0: ParametricCM, dist: MixtureParams,
         with np.errstate(over="ignore", invalid="ignore"):
             x_hi, cd_target, ct_target = _draws(dist, t_lo, t_hi, n_mc, seed,
                                                 score_exact)
+            # at large dt the CD target e^dt x + (e^dt - 1) s(x) is a
+            # small difference of large terms; past half its digits lost
+            # it is noise, however finite
+            grown = np.exp(t_hi - t_lo) * np.abs(x_hi).max()
+            kept = np.abs(cd_target).max()
+            if grown > 2.0**26 * kept:
+                raise ValueError(
+                    f"grad_gap at dt={dt}: the CD target lost more than "
+                    f"half its digits to cancellation (max |e^dt x| "
+                    f"{grown:.3e}, max |target| {kept:.3e})")
             # one draw serves both objectives, so the features and
             # f_theta(x_hi, t_hi) serve both gradients
             feat = theta0.features(x_hi, t_hi)

@@ -75,7 +75,9 @@ def _ulmc_increment_cov(gamma: float, tau: float) -> tuple[float, float, float]:
     frozen-drift update over one step of length tau."""
     gt = gamma * tau
     if gt < 1e-3:
-        # series around gamma*tau = 0 avoids catastrophic cancellation
+        # series around gamma*tau = 0 avoids catastrophic cancellation;
+        # numpy's powers give inf where Python's raise OverflowError
+        tau = np.float64(tau)
         var_z = 2.0 * gamma * tau**3 * (1.0 / 3.0 - gt / 4.0 + gt**2 / 10.0)
         cov_zv = gamma * tau**2 * (1.0 - 2.0 * gt / 3.0 + 7.0 * gt**2 / 24.0)
         var_v = 2.0 * gt * (1.0 - gt + 2.0 * gt**2 / 3.0)
@@ -105,34 +107,33 @@ def ulmc_run(score_model: ScoreModel, batch: SampleBatch, gamma: float,
         raise ValueError("need gamma >= 0 and tau > 0")
     z = batch.points.copy()
     v = derive_rng(seed, "ulmc-v0").standard_normal(z.shape)
-
-    if gamma == 0.0:
-        # a step too long for tau**2 leaves inf and NaN entries, which
-        # SampleBatch rejects; numpy's power gives inf where Python's raises
-        with np.errstate(over="ignore", invalid="ignore"):
+    # a step too long for tau**2, tau**3 or the drift leaves inf and NaN
+    # entries, which SampleBatch rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        if gamma == 0.0:
             half_sq = 0.5 * np.float64(tau)**2
             for k in range(n_steps):
                 s0 = score_model(z, t)
                 z = z + tau * v + half_sq * s0
                 v = v + tau * s0
-        return SampleBatch(points=z)
+            return SampleBatch(points=z)
 
-    decay = np.exp(-gamma * tau)
-    var_z, cov_zv, var_v = _ulmc_increment_cov(gamma, tau)
-    # Cholesky factor of the 2x2 increment covariance
-    lz = np.sqrt(var_z)
-    lvz = cov_zv / lz
-    lvv = np.sqrt(max(var_v - lvz**2, 0.0))
-    for k in range(n_steps):
-        s0 = score_model(z, t)
-        drift = s0 / gamma
-        z_mean = z + drift * tau + (1.0 - decay) * (v - drift) / gamma
-        v_mean = drift + decay * (v - drift)
-        rng = derive_rng(seed, "ulmc-step", k)
-        eta1 = rng.standard_normal(z.shape)
-        eta2 = rng.standard_normal(z.shape)
-        z = z_mean + lz * eta1
-        v = v_mean + lvz * eta1 + lvv * eta2
+        decay = np.exp(-gamma * tau)
+        var_z, cov_zv, var_v = _ulmc_increment_cov(gamma, tau)
+        # Cholesky factor of the 2x2 increment covariance
+        lz = np.sqrt(var_z)
+        lvz = cov_zv / lz
+        lvv = np.sqrt(max(var_v - lvz**2, 0.0))
+        for k in range(n_steps):
+            s0 = score_model(z, t)
+            drift = s0 / gamma
+            z_mean = z + drift * tau + (1.0 - decay) * (v - drift) / gamma
+            v_mean = drift + decay * (v - drift)
+            rng = derive_rng(seed, "ulmc-step", k)
+            eta1 = rng.standard_normal(z.shape)
+            eta2 = rng.standard_normal(z.shape)
+            z = z_mean + lz * eta1
+            v = v_mean + lvz * eta1 + lvv * eta2
     return SampleBatch(points=z)
 
 

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmlab.distributions import MixtureParams, marginal_at, sample, score
 from cmlab.flows import (StepUnderflowError, exp_integrator_step,
@@ -81,6 +84,64 @@ class TestExpIntegrator:
         assert abs(fit["slope"] - 2.0) <= 0.2
         # Richardson ratio between successive halvings is about 4
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestExpIntegratorInPlace:
+    """The step writes its sum into the score's array; it must give the
+    bits of the formula written out and leave x as it was."""
+
+    @staticmethod
+    def formula(score_model, x, t_hi, t_lo):
+        growth = np.exp(t_hi - t_lo)
+        return growth * x + (growth - 1.0) * score_model(x, t_hi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_formula(self, data):
+        d = data.draw(st.integers(1, 6), label="d")
+        n = data.draw(st.integers(0, 300), label="n")
+        t_lo = data.draw(st.floats(1e-3, 3.0), label="t_lo")
+        dt = data.draw(st.sampled_from([1e-9, 1e-3, 0.025, 0.3, 5.0, 800.0]),
+                       label="dt")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rng.normal(size=(n, d))
+        s_fixed = rng.normal(size=(n, d))
+        for a in (x, s_fixed):
+            for bad in (np.nan, -np.nan, np.inf, -np.inf, -0.0, 1e160,
+                        -1e160):
+                for i in rng.integers(n, size=rng.integers(3)) if n else ():
+                    a[i, rng.uniform(size=d) < 0.5] = bad
+        if data.draw(st.booleans(), label="exact score"):
+            dist = MixtureParams(np.array([0.6, 0.4]),
+                                 rng.normal(size=(2, d)),
+                                 rng.uniform(0.1, 2.0, (2, d)))
+            sm = exact_score_model(dist)
+        else:
+            sm = ScoreModel(fn=lambda y, t: s_fixed.copy(), dim=d)
+        x_before = x.copy()
+        with np.errstate(all="ignore"):
+            expect = self.formula(sm, x, t_lo + dt, t_lo)
+            got = exp_integrator_step(sm, x, t_lo + dt, t_lo)
+        assert np.array_equal(bits(got), bits(expect))
+        assert np.array_equal(bits(x), bits(x_before))
+
+    def test_one_step_holds_two_batches(self):
+        # the product growth * x and the score's own array: the formula
+        # written out holds a third, (growth - 1) * s, next to them
+        sm = exact_score_model(wide_gaussian(2))
+        x = np.random.default_rng(7).normal(size=(50_000, 2))
+        exp_integrator_step(sm, x, 1.0, 0.9)
+        tracemalloc.start()
+        try:
+            exp_integrator_step(sm, x, 1.0, 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * x.nbytes
 
 
 class TestReferenceIntegrator:

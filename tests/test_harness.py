@@ -361,13 +361,22 @@ class TestCliRejects:
         ("sample", {"sampler": "one-step+ulmc", "gamma": 0, "tau": 1e200,
                     "n": 3},
          "config rejected by sample: batch contains NaN/Inf entries"),
+        # tau**3 overflows in the small gamma * tau series
+        ("sample", {"sampler": "one-step+ulmc", "gamma": 1e-300,
+                    "tau": 1e200, "n": 3},
+         "config rejected by sample: batch contains NaN/Inf entries"),
+        # e^dt x + (e^dt - 1) s(x) cancels: a finite target, all noise
+        ("gradcheck", {"dt_list": [700, 600, 500], "n_mc": 1000},
+         "config rejected by gradcheck: grad_gap at dt=700.0: the CD "
+         "target lost more than half its digits"),
     ], ids=["n-text", "n-one", "sample-foreign-keys", "hessian-foreign-key",
             "weights-object", "n-bool", "seed-float", "sampler", "grid-null",
             "times-beyond-T", "times-beyond-T-grid", "ou-tv-square-overflow",
             "ou-tv-bound-overflow", "ulmc-tv-overflow",
             "reference-field-overflow", "point-mass-tiny-t",
             "gradcheck-step-overflow", "sweep-gradcheck-step-overflow",
-            "ulmc-ballistic-overflow"])
+            "ulmc-ballistic-overflow", "ulmc-series-overflow",
+            "gradcheck-target-cancels"])
     def test_malformed_config(self, tmp_path, capsys, recwarn, command,
                               config, message):
         path = tmp_path / "c.json"
