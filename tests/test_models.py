@@ -322,39 +322,35 @@ def _ring(d):
                          np.full((3, d), 0.3))
 
 
-class TestScoreModelContract:
+def _score_models():
+    grid = build_grid(0.05, 0.2, 1.0)
+    return {
+        "exact-K1": exact_score_model(wide_gaussian(2)),
+        # rows near overflow send K = 1 to the general kernel
+        "exact-K1-far-rows": exact_score_model(
+            MixtureParams.gaussian([1e152, 0.0], [1.0, 1.0])),
+        # at d = 1 score returns a view of its own local sum
+        "exact-K3-d1": exact_score_model(_ring(1)),
+        "exact-K3-d2": exact_score_model(_ring(2)),
+        "perturbed": perturb_score(_ring(2), 0.1, 5),
+        "recovered": recover_score(
+            discretized_cm(exact_score_model(_ring(2)), grid), grid),
+    }
+
+
+@pytest.mark.parametrize("name", list(_score_models()))
+def test_score_model_returns_a_fresh_float_batch(name):
     """A score model returns a fresh float (n, d) array that its caller
     may overwrite, as exp_integrator_step does."""
-
-    @staticmethod
-    def models():
-        grid = build_grid(0.05, 0.2, 1.0)
-        return {
-            "exact-K1": exact_score_model(wide_gaussian(2)),
-            # rows near overflow send K = 1 to the general kernel
-            "exact-K1-far-rows": exact_score_model(
-                MixtureParams.gaussian([1e152, 0.0], [1.0, 1.0])),
-            # at d = 1 score returns a view of its own local sum
-            "exact-K3-d1": exact_score_model(_ring(1)),
-            "exact-K3-d2": exact_score_model(_ring(2)),
-            "perturbed": perturb_score(_ring(2), 0.1, 5),
-            "recovered": recover_score(
-                discretized_cm(exact_score_model(_ring(2)), grid), grid),
-        }
-
-    @pytest.mark.parametrize("name", ["exact-K1", "exact-K1-far-rows",
-                                      "exact-K3-d1", "exact-K3-d2",
-                                      "perturbed", "recovered"])
-    def test_returns_a_fresh_float_batch(self, name):
-        sm = self.models()[name]
-        x = np.random.default_rng(6).normal(size=(9, sm.dim))
-        x_before = x.copy()
-        a, b = sm(x, 0.7), sm(x, 0.7)
-        for out in (a, b):
-            assert out.dtype == np.float64 and out.shape == x.shape
-            assert not np.shares_memory(out, x)
-        assert not np.shares_memory(a, b)
-        expect = b.copy()
-        a[...] = np.nan          # the caller's to overwrite
-        assert np.array_equal(b, expect, equal_nan=True)
-        assert np.array_equal(x, x_before)
+    sm = _score_models()[name]
+    x = np.random.default_rng(6).normal(size=(9, sm.dim))
+    x_before = x.copy()
+    a, b = sm(x, 0.7), sm(x, 0.7)
+    for out in (a, b):
+        assert out.dtype == np.float64 and out.shape == x.shape
+        assert not np.shares_memory(out, x)
+    assert not np.shares_memory(a, b)
+    expect = b.copy()
+    a[...] = np.nan          # the caller's to overwrite
+    assert np.array_equal(b, expect, equal_nan=True)
+    assert np.array_equal(x, x_before)
