@@ -28,8 +28,8 @@ from .metrics import (fit_gaussian, tv_gaussian_1d, w2_fit_pair,
                       w2_gaussian_fit, w2_sliced)
 from .models import (discretized_cm, empirical_cm, estimate_lipschitz,
                      exact_cm, exact_score_model, measure_cm_error,
-                     measure_score_error, perturb_cm, perturb_score,
-                     recover_score)
+                     measure_score_error, memoized_cm, perturb_cm,
+                     perturb_score, recover_score)
 from .objectives import ParametricCM, grad_gap
 from .rng import derive_rng, derive_seed
 from .samplers import (fixed_time_schedule, multistep, one_step, ou_smooth,
@@ -129,22 +129,25 @@ def eps_sweep_one_step(distribution: MixtureParams = _GAUSS_4I,
     grid = _grid_for(delta, h, T)
     exact = exact_score_model(distribution)
     p_delta = marginal_at(distribution, delta)
-    base_cm = discretized_cm(exact, grid)
+    # every perturbed map of "cm" re-evaluates the base on the same points
+    base_cm = memoized_cm(discretized_cm(exact, grid))
     base_batch = one_step(base_cm, T, n, seed)
     base_err = w2_gaussian_fit(base_batch, p_delta).value
 
     pert_seed = derive_seed(seed, "inject-seed")
+    eps_list = [float(eps) for eps in eps_list]
+    if inject == "sc":
+        sms = [perturb_score(distribution, eps, pert_seed)
+               for eps in eps_list]
+        cms = [discretized_cm(sm, grid) for sm in sms]
+        eps_hats = [measure_score_error(sm, distribution, grid, 400, seed)
+                    for sm in sms]
+    else:
+        cms = [perturb_cm(base_cm, eps, pert_seed) for eps in eps_list]
+        eps_hats = measure_cm_error(cms, exact, distribution, grid, 400,
+                                    seed)
     rows = []
-    for eps in eps_list:
-        eps = float(eps)
-        if inject == "sc":
-            sm = perturb_score(distribution, eps, pert_seed)
-            cm = discretized_cm(sm, grid)
-            eps_hat = measure_score_error(sm, distribution, grid, 400, seed)
-        else:
-            cm = perturb_cm(base_cm, eps, pert_seed)
-            eps_hat = measure_cm_error(cm, exact, distribution, grid, 400,
-                                       seed)
+    for eps, cm, eps_hat in zip(eps_list, cms, eps_hats):
         batch = one_step(cm, T, n, seed)
         err = w2_gaussian_fit(batch, p_delta).value
         excess = w2_fit_pair(batch, base_batch).value
@@ -313,7 +316,7 @@ def score_recovery_experiment(seed: int = 0) -> dict:
     sm = perturb_score(dist, 0.1, pert_seed)
     cm = empirical_cm(sm, grid.delta)
     eps_sc_hat = measure_score_error(sm, dist, grid, 400, seed)
-    eps_cm_hat = measure_cm_error(cm, sm, dist, grid, 200, seed)
+    eps_cm_hat, = measure_cm_error([cm], sm, dist, grid, 200, seed)
 
     recovered = recover_score(cm, grid)
     t2 = float(grid.points[1])

@@ -27,10 +27,17 @@ image is the same, bit for bit, whatever it is stacked with;
 batches together.  A score that multiplies the batch through BLAS (the
 sine perturbation's x @ omega.T) can differ in the last bit when a
 one-row batch is stacked with others.
+
+`memoized_cm` keeps a model's images for as long as the caller holds it,
+keyed by the bytes of x, so a sweep that evaluates several perturbations
+of one base map marches the base once.  It relies on the same condition:
+a pair's image must not depend on the rows stacked with it, which holds
+over the exact score and not over a BLAS-multiplied one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -186,6 +193,30 @@ def perturb_cm(base: ConsistencyModel, eps_target: float,
     return ConsistencyModel(fn=fn, dim=base.dim, delta=delta)
 
 
+def memoized_cm(cm: ConsistencyModel) -> ConsistencyModel:
+    """cm that keeps every image it computes, for the life of the
+    returned model.
+
+    A pair is looked up by (t, shape, the bytes of x), never by the array
+    object, and the pairs not seen before go to cm.many in one call.  The
+    kept images are read-only, so no caller can change what a later
+    lookup returns.  A pair's image is the one cm gives it alone only
+    when that does not depend on the pairs stacked with it (see the
+    module docstring)."""
+    images: dict[tuple, np.ndarray] = {}
+
+    def fn(pairs: Pairs) -> list[np.ndarray]:
+        keys = [(t, x.shape, x.tobytes()) for x, t in pairs]
+        unseen = {key: pair for key, pair in zip(keys, pairs)
+                  if key not in images}
+        for key, y in zip(unseen, cm.many(list(unseen.values()))):
+            y.flags.writeable = False
+            images[key] = y
+        return [images[key] for key in keys]
+
+    return ConsistencyModel(fn=fn, dim=cm.dim, delta=cm.delta)
+
+
 def measure_score_error(model: ScoreModel, dist: MixtureParams,
                         grid: TimeGrid, n_mc: int, seed: int) -> float:
     """eps_sc estimate: max over grid times of the RMS L2(p_t) score error."""
@@ -200,12 +231,13 @@ def measure_score_error(model: ScoreModel, dist: MixtureParams,
     return worst
 
 
-def measure_cm_error(cm: ConsistencyModel, score_model: ScoreModel,
-                     dist: MixtureParams, grid: TimeGrid, n_mc: int,
-                     seed: int) -> float:
-    """eps_cm estimate: max over adjacent grid pairs of
+def measure_cm_error(cms: Sequence[ConsistencyModel],
+                     score_model: ScoreModel, dist: MixtureParams,
+                     grid: TimeGrid, n_mc: int, seed: int) -> list[float]:
+    """eps_cm estimate of each model: max over adjacent grid pairs of
     RMS || f(x_{t_{n+1}}, t_{n+1}) - f(xhat, t_n) || / (t_{n+1} - t_n),
-    with xhat one exponential-integrator step of x_{t_{n+1}}."""
+    with xhat one exponential-integrator step of x_{t_{n+1}}.  The pairs
+    are drawn and stepped once and shared by every model."""
     if n_mc < 100:
         raise ValueError("n_mc must be >= 100")
     pts = grid.points
@@ -216,13 +248,16 @@ def measure_cm_error(cm: ConsistencyModel, score_model: ScoreModel,
                    derive_seed(seed, "eps-cm", n)).points
         his.append((x, t_hi))
         los.append((exp_integrator_step(score_model, x, t_hi, t_lo), t_lo))
-    worst = 0.0
-    for f_hi, f_lo, t_hi, t_lo in zip(cm.many(his), cm.many(los),
-                                      pts[1:], pts[:-1]):
-        gap = f_hi - f_lo
-        rms = float(np.sqrt(np.mean(np.sum(gap**2, axis=1))))
-        worst = max(worst, rms / (t_hi - t_lo))
-    return worst
+    out = []
+    for cm in cms:
+        worst = 0.0
+        for f_hi, f_lo, t_hi, t_lo in zip(cm.many(his), cm.many(los),
+                                          pts[1:], pts[:-1]):
+            gap = f_hi - f_lo
+            rms = float(np.sqrt(np.mean(np.sum(gap**2, axis=1))))
+            worst = max(worst, rms / (t_hi - t_lo))
+        out.append(worst)
+    return out
 
 
 def estimate_lipschitz(cm: ConsistencyModel, dist: MixtureParams, t: float,

@@ -120,9 +120,11 @@ def ulmc_run(score_model: ScoreModel, batch: SampleBatch, gamma: float,
 
         decay = np.exp(-gamma * tau)
         var_z, cov_zv, var_v = _ulmc_increment_cov(gamma, tau)
-        # Cholesky factor of the 2x2 increment covariance
+        # Cholesky factor of the 2x2 increment covariance; var_z (about
+        # gamma tau^3) underflows to 0 first, and then the z increment is
+        # deterministic and v keeps its whole variance
         lz = np.sqrt(var_z)
-        lvz = cov_zv / lz
+        lvz = cov_zv / lz if lz > 0 else 0.0
         lvv = np.sqrt(max(var_v - lvz**2, 0.0))
         for k in range(n_steps):
             s0 = score_model(z, t)

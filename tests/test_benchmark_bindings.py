@@ -77,24 +77,50 @@ def test_traced_walks_count_the_rows_they_march():
     dist = MixtureParams.gaussian([0.0, 0.0], [4.0, 4.0])
     grid = build_grid(0.01, 0.1, 1.0)
     sm = models.exact_score_model(dist)
-    cm = models.perturb_cm(models.discretized_cm(sm, grid), 0.1, 3)
+    base = models.discretized_cm(sm, grid)
+    cms = [models.perturb_cm(base, eps, 3) for eps in (0.1, 0.2)]
     n_mc, n = 100, 50
 
     def ops():
-        return (models.measure_cm_error(cm, sm, dist, grid, n_mc, 7),
-                samplers.one_step(cm, grid.T, n, 7).points)
+        return (models.measure_cm_error(cms, sm, dist, grid, n_mc, 7),
+                samplers.one_step(cms[0], grid.T, n, 7).points)
 
     plain = ops()
     tracer = _load("tracer").Tracer()
     with tracer.installed():
         traced = ops()
     steps = grid.n_points - 1
-    # xhat steps, the walks of (x, t_{n+1}) and (xhat, t_n), and one_step
-    rows = (steps + steps * (steps + 1) // 2 + (steps - 1) * steps // 2) \
-        * n_mc + steps * n
+    # one draw's xhat steps, each model's walks of (x, t_{n+1}) and
+    # (xhat, t_n), and one_step
+    walks = steps * (steps + 1) // 2 + (steps - 1) * steps // 2
+    rows = (steps + len(cms) * walks) * n_mc + steps * n
     assert tracer.stats["flows.exp_integrator_step"]["points"] == rows
+    assert tracer.stats["models.measure_cm_error"]["calls"] == 1
     assert traced[0] == plain[0]
     assert np.array_equal(traced[1], plain[1])
+
+
+def test_traced_eps_cm_sweep_marches_its_base_once():
+    # the measure workload's sweep under the tracer: the base map is
+    # marched once for the one-step noise and once for one draw of pairs
+    dist = MixtureParams.gaussian([0.0, 0.0], [4.0, 4.0])
+    kw = {"h": 0.1, "T": 1.0, "n": 50, "seed": 7}
+
+    def sweep():
+        return harness.render_json(
+            harness.eps_sweep_one_step(dist, inject="cm", **kw))
+
+    plain = sweep()
+    tracer = _load("tracer").Tracer()
+    with tracer.installed():
+        traced = sweep()
+    steps = harness._grid_for(0.01, kw["h"], kw["T"]).n_points - 1
+    walks = steps * (steps + 1) // 2 + (steps - 1) * steps // 2
+    rows = steps * kw["n"] + (steps + walks) * 400
+    assert tracer.stats["flows.exp_integrator_step"]["points"] == rows
+    assert tracer.stats["distributions.score"]["points"] == rows
+    assert tracer.stats["models.measure_cm_error"]["calls"] == 1
+    assert traced == plain
 
 
 def _counted_calls() -> dict:

@@ -1,6 +1,10 @@
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +15,15 @@ from cmlab.cli import main
 from cmlab.harness import (ConfigError, emit, fit_loglog, h_sweep_one_step,
                            ou_tv_bound_check, read_config, render_csv,
                            render_json, run_experiment)
-from cmlab.distributions import MixtureParams
+from cmlab.distributions import MixtureParams, marginal_at, score
+from cmlab.metrics import w2_fit_pair, w2_gaussian_fit
+from cmlab.models import (discretized_cm, exact_score_model,
+                          measure_cm_error, perturb_cm)
+from cmlab.rng import derive_seed
+from cmlab.samplers import one_step
 from reference_kernel import _mixture_score
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestFitLoglog:
@@ -129,6 +140,76 @@ class TestRunExperiment:
         # Richardson extrapolation leaves a floor below both measured errors
         assert rep["floor"] < min(r["w2"] for r in rep["rows"])
         assert all(r["w2_excess"] > 0 for r in rep["rows"])
+
+
+class TestEpsCmSweep:
+    # the eps-cm sweep marches its base map once and draws the pairs of
+    # measure_cm_error once, for all of its eps
+    N = 2000
+
+    @staticmethod
+    def per_eps(n):
+        """eps_sweep_one_step(inject="cm", n=n) at its defaults, as one
+        independent perturbed map, error measurement and one-step run
+        per eps."""
+        distribution, delta, T, seed = harness._GAUSS_4I, 0.01, 2.0, 0
+        grid = harness._grid_for(delta, 0.025, T)
+        exact = exact_score_model(distribution)
+        p_delta = marginal_at(distribution, delta)
+        base_cm = discretized_cm(exact, grid)
+        base_batch = one_step(base_cm, T, n, seed)
+        base_err = w2_gaussian_fit(base_batch, p_delta).value
+        pert_seed = derive_seed(seed, "inject-seed")
+        rows = []
+        for eps in (0.2, 0.1, 0.05):
+            cm = perturb_cm(base_cm, eps, pert_seed)
+            eps_hat, = measure_cm_error([cm], exact, distribution, grid, 400,
+                                        seed)
+            batch = one_step(cm, T, n, seed)
+            rows.append({"eps_target": eps, "eps_hat": float(eps_hat),
+                         "w2": w2_gaussian_fit(batch, p_delta).value,
+                         "w2_excess": w2_fit_pair(batch, base_batch).value})
+        return {"rows": rows, "baseline_w2": base_err, "inject": "cm"}
+
+    def test_shared_sweep_renders_the_per_eps_bytes(self, monkeypatch):
+        calls = []
+
+        def counted_score(dist, t, x):
+            calls.append(x.shape[0])
+            return score(dist, t, x)
+
+        monkeypatch.setattr(models, "score", counted_score)
+        shared = render_json(harness.eps_sweep_one_step(inject="cm",
+                                                        n=self.N))
+        steps = harness._grid_for(0.01, 0.025, 2.0).n_points - 1
+        # one_step of the base, then one draw's xhat steps and two walks
+        assert len(calls) == steps + steps + steps + (steps - 1) == 323
+        calls.clear()
+        assert render_json(self.per_eps(self.N)) == shared
+        assert len(calls) == steps + 3 * (4 * steps - 1) == 1050
+
+    def test_no_state_survives_a_sweep(self):
+        # `other` draws the same one-step noise as `first` (same seed, n
+        # and dimension) from a different law, so images kept from one
+        # sweep would show in the next
+        first = {"kind": "eps-cm-sweep", "n": self.N}
+        other = {**first, "h": 0.1, "distribution": {
+            "weights": [1.0], "means": [[1.0, -1.0]], "vars": [[0.5, 2.0]]}}
+        runs = [render_json(run_experiment(raw, seed=3))
+                for raw in (first, other, first)]
+        assert runs[2] == runs[0] != runs[1]
+        code = ("import json, sys\nfrom cmlab import harness\n"
+                "sys.stdout.write(harness.render_json(harness.run_experiment("
+                "json.loads(sys.argv[1]), seed=3)))")
+        for raw, hash_seed, want in ((first, "0", runs[0]),
+                                     (first, "1", runs[0]),
+                                     (other, "0", runs[1])):
+            env = {**os.environ, "PYTHONPATH": str(SRC),
+                   "PYTHONHASHSEED": hash_seed}
+            fresh = subprocess.run(
+                [sys.executable, "-c", code, json.dumps(raw)], check=True,
+                capture_output=True, text=True, env=env).stdout
+            assert fresh == want, (raw, hash_seed)
 
 
 class TestRendering:

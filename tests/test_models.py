@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from cmlab import models
 from cmlab.distributions import MixtureParams, marginal_at, sample, score
 from cmlab.flows import exp_integrator_step
 from cmlab.harness import fit_loglog
 from cmlab.models import (ScoreModel, discretized_cm, empirical_cm,
                           estimate_lipschitz, exact_cm, exact_score_model,
-                          measure_cm_error, measure_score_error, perturb_cm,
-                          perturb_score, recover_score)
+                          measure_cm_error, measure_score_error, memoized_cm,
+                          perturb_cm, perturb_score, recover_score)
 from cmlab.rng import derive_seed
 from cmlab.schedule import build_grid, uniform_grid
 
@@ -81,10 +82,9 @@ class TestPerturbCm:
         grid = build_grid(0.05, 0.2, 1.0)
         sm = exact_score_model(dist)
         base = discretized_cm(sm, grid)
-        e1 = measure_cm_error(perturb_cm(base, 0.1, 9), sm, dist, grid,
-                              200, 1)
-        e2 = measure_cm_error(perturb_cm(base, 0.2, 9), sm, dist, grid,
-                              200, 1)
+        e1, e2 = measure_cm_error([perturb_cm(base, 0.1, 9),
+                                   perturb_cm(base, 0.2, 9)], sm, dist, grid,
+                                  200, 1)
         assert e2 / e1 == pytest.approx(2.0, rel=1e-6)
 
 
@@ -94,15 +94,15 @@ class TestMeasureCmError:
         sm = exact_score_model(dist)
         grid = build_grid(0.05, 0.2, 1.0)
         cm = empirical_cm(sm, 0.05)
-        assert measure_cm_error(cm, sm, dist, grid, 100, 1) <= 1e-6
+        assert measure_cm_error([cm], sm, dist, grid, 100, 1)[0] <= 1e-6
 
     def test_empirical_cm_error_is_first_order_in_h(self):
         dist = wide_gaussian()
         sm = exact_score_model(dist)
         cm = empirical_cm(sm, 0.02)
         hs = [0.4, 0.2, 0.1]
-        errs = [measure_cm_error(cm, sm, dist, build_grid(0.02, h, 1.6),
-                                 150, 1) for h in hs]
+        errs = [measure_cm_error([cm], sm, dist, build_grid(0.02, h, 1.6),
+                                 150, 1)[0] for h in hs]
         fit = fit_loglog(hs, errs)
         assert abs(fit["slope"] - 1.0) <= 0.35
 
@@ -111,7 +111,7 @@ class TestMeasureCmError:
         sm = exact_score_model(dist)
         grid = build_grid(0.05, 0.2, 1.0)
         cm = discretized_cm(sm, grid)
-        assert measure_cm_error(cm, sm, dist, grid, 150, 1) <= 1e-12
+        assert measure_cm_error([cm], sm, dist, grid, 150, 1)[0] <= 1e-12
 
 
 class TestBoundary:
@@ -253,7 +253,7 @@ class TestMeasureCmErrorWalk:
         assert self.GRID.n_points == 82
         sm, calls = self.counting(dist)
         cm = perturb_cm(discretized_cm(sm, self.GRID), 0.1, 9)
-        walked = measure_cm_error(cm, sm, dist, self.GRID, 100, 5)
+        walked, = measure_cm_error([cm], sm, dist, self.GRID, 100, 5)
         assert len(calls) == 81 + 81 + 80      # xhat steps, two walks
         calls.clear()
         looped = self.per_interval(cm, sm, dist, self.GRID, 100, 5)
@@ -266,8 +266,109 @@ class TestMeasureCmErrorWalk:
         sm = exact_score_model(dist)
         grid = build_grid(0.05, 0.2, 1.0)
         cm = empirical_cm(perturb_score(dist, 0.1, 2), grid.delta)
-        assert measure_cm_error(cm, sm, dist, grid, 100, 1) \
-            == self.per_interval(cm, sm, dist, grid, 100, 1)
+        assert measure_cm_error([cm], sm, dist, grid, 100, 1) \
+            == [self.per_interval(cm, sm, dist, grid, 100, 1)]
+
+
+    def test_one_draw_serves_every_model(self, monkeypatch):
+        # the models share one draw of the pairs and one xhat step per
+        # interval, and each gets the estimate it gets alone, bit for bit
+        dist = wide_gaussian(2)
+        sm = exact_score_model(dist)
+        grid = build_grid(0.01, 0.1, 1.0)
+        base = discretized_cm(sm, grid)
+        cms = [perturb_cm(base, eps, 9) for eps in (0.2, 0.1, 0.05)]
+        alone = [measure_cm_error([cm], sm, dist, grid, 100, 5)[0]
+                 for cm in cms]
+        draws, real_sample = [], models.sample
+
+        def counted_sample(*args):
+            draws.append(args[1])
+            return real_sample(*args)
+
+        monkeypatch.setattr(models, "sample", counted_sample)
+        assert measure_cm_error(cms, sm, dist, grid, 100, 5) == alone
+        assert draws == [100] * (grid.n_points - 1)
+        memo = memoized_cm(base)
+        assert measure_cm_error(
+            [perturb_cm(memo, eps, 9) for eps in (0.2, 0.1, 0.05)],
+            sm, dist, grid, 100, 5) == alone
+
+
+class TestMemoizedCm:
+    # memoized_cm(cm) gives cm's images bit for bit, and marches each
+    # distinct (t, shape, bytes of x) once for as long as it is held
+    DELTA, T = 0.05, 2.0
+    GRID = build_grid(DELTA, 0.2, T)
+
+    @classmethod
+    def pairs(cls):
+        rng = np.random.default_rng(8)
+        one, many = rng.normal(size=(1, 1)), rng.normal(size=(400, 1))
+        return [(many, cls.DELTA),                   # the boundary
+                (one, 0.77), (one.copy(), 0.77),     # equal bytes, two arrays
+                (many, 1.1), (many.copy(), cls.T),   # equal bytes, two times
+                (many, 1.1)]                         # the same pair again
+
+    def test_many_equals_the_wrapped_many(self):
+        dist = wide_gaussian()
+        pairs = self.pairs()
+        for cm in (discretized_cm(exact_score_model(dist), self.GRID),
+                   exact_cm(dist, self.DELTA)):
+            expect = cm.many(pairs)
+            memo = memoized_cm(cm)
+            for _ in range(2):      # marched, then looked up
+                outs = memo.many(pairs)
+                assert len(outs) == len(pairs)
+                for out, want in zip(outs, expect):
+                    assert np.array_equal(out, want)
+            assert all(np.array_equal(a, b) for a, b in zip(
+                perturb_cm(memo, 0.3, 4).many(pairs),
+                perturb_cm(cm, 0.3, 4).many(pairs)))
+
+    def test_one_march_per_distinct_pair(self):
+        sm, rows = TestMeasureCmErrorWalk.counting(wide_gaussian())
+        cm = discretized_cm(sm, self.GRID)
+        pairs = self.pairs()
+        cm.many([pairs[1], pairs[3], pairs[4]])     # the distinct pairs
+        once = rows.copy()
+        rows.clear()
+        memo = memoized_cm(cm)
+        memo.many(pairs)
+        memo.many(pairs[::-1])
+        perturb_cm(memo, 0.3, 4).many(pairs)
+        memo(pairs[2][0], 0.77)
+        assert rows == once
+
+    def test_images_are_read_only(self):
+        memo = memoized_cm(discretized_cm(exact_score_model(wide_gaussian()),
+                                          self.GRID))
+        for x, t in self.pairs()[1:]:
+            out = memo(x, t)
+            with pytest.raises(ValueError, match="read-only"):
+                out[0] = 0.0
+        # at the boundary the model hands back a copy of x, as every
+        # model does
+        x, t = self.pairs()[0]
+        assert memo(x, t).flags.writeable
+
+    def test_new_bytes_behind_an_old_id_get_their_own_image(self):
+        cm = discretized_cm(exact_score_model(wide_gaussian()), self.GRID)
+        memo = memoized_cm(cm)
+        rng = np.random.default_rng(9)
+        sources = [rng.normal(size=(7, 1)) for _ in range(10)]
+        x = sources[0].copy()
+        assert np.array_equal(memo(x, 1.1), cm(x, 1.1))
+        reused = 0
+        for src in sources[1:]:
+            old_id = id(x)
+            del x                   # freed: the memo holds no reference
+            x = src.copy()
+            reused += id(x) == old_id
+            assert np.array_equal(memo(x, 1.1), cm(x, 1.1))
+        assert reused > 0           # CPython handed a freed id on
+        x *= 2.0                    # the same array, new bytes
+        assert np.array_equal(memo(x, 1.1), cm(x, 1.1))
 
 
 class TestEstimateLipschitz:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,17 @@ class TestUlmc:
         from cmlab.rng import derive_rng
         v0 = derive_rng(seed, "ulmc-v0").standard_normal(pts.shape)
         assert np.allclose(out.points, pts + n_steps * tau * v0, atol=1e-12)
+
+    def test_tiny_step_is_all_but_the_identity(self):
+        # gamma * tau^3 underflows to 0, so the increment's Cholesky
+        # factor has lz = 0: z moves by its mean alone
+        pts = np.random.default_rng(3).normal(size=(3, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ulmc_run(self._stationary_score(), SampleBatch(points=pts),
+                           0.001, 1e-110, 5, 0, t=0.0)
+        assert np.all(np.isfinite(out.points))
+        assert np.max(np.abs(out.points - pts)) <= 1e-100
 
     def test_invalid_params_rejected(self):
         batch = SampleBatch(points=np.zeros((2, 2)))
