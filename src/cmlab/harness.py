@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
 from typing import Literal, Optional, Union, get_args, get_origin
 
 import numpy as np
@@ -25,7 +26,7 @@ from .distributions import (MixtureParams, SampleBatch,
                             hessian_bound_bounded_support, marginal_at,
                             sample, score, score_hessian)
 from .metrics import (fit_gaussian, tv_gaussian_1d, w2_fit_pair,
-                      w2_gaussian_fit, w2_sliced)
+                      w2_gaussian_fit, w2_sliced_many)
 from .models import (discretized_cm, empirical_cm, estimate_lipschitz,
                      exact_cm, exact_score_model, measure_cm_error,
                      measure_score_error, memoized_cm, perturb_cm,
@@ -89,21 +90,29 @@ def h_sweep_one_step(distribution: MixtureParams = _GAUSS_4I,
     The h-independent floor is measured at floor_h using the uniform-grid
     family: F = 2*err(floor_h) - err(2*floor_h), which cancels the linear
     discretization term of those two runs and leaves the pure limit error.
+
+    The marches, one per h and two for the floor, run on a two-thread
+    pool, and each batch is fitted in the calling thread as it comes
+    back, in grid order.  The result is bit for bit that of marching one
+    grid after another, by this rule: a pool thread runs only elementwise
+    numpy and RNG fills on arrays that it alone owns, and never calls
+    BLAS or shares a generator (each march draws its own copy of the
+    input noise from its own stream).  The pool is joined before the
+    function returns, also when a march raises.
     """
     score_model = exact_score_model(distribution)
     p_delta = marginal_at(distribution, delta)
+    grids = [_grid_for(delta, float(h), T) for h in h_list]
+    grids += [uniform_grid(delta, floor_h, T),
+              uniform_grid(delta, 2.0 * floor_h, T)]
 
-    def err_at(grid: TimeGrid) -> float:
-        cm = discretized_cm(score_model, grid)
-        batch = one_step(cm, T, n, seed)
-        return w2_gaussian_fit(batch, p_delta).value
+    def march(grid: TimeGrid) -> SampleBatch:
+        return one_step(discretized_cm(score_model, grid), T, n, seed)
 
-    rows = []
-    for h in h_list:
-        e = err_at(_grid_for(delta, float(h), T))
-        rows.append({"h": float(h), "w2": e})
-    e_floor = err_at(uniform_grid(delta, floor_h, T))
-    e_floor2 = err_at(uniform_grid(delta, 2.0 * floor_h, T))
+    with ThreadPoolExecutor(2) as pool:
+        *ws, e_floor, e_floor2 = [w2_gaussian_fit(batch, p_delta).value
+                                  for batch in pool.map(march, grids)]
+    rows = [{"h": float(h), "w2": e} for h, e in zip(h_list, ws)]
     floor = 2.0 * e_floor - e_floor2
     for r in rows:
         r["w2_excess"] = r["w2"] - floor
@@ -210,19 +219,17 @@ def stationary_suite(n: int = 100_000, seed: int = 0) -> dict:
 
     ref = derive_rng(seed, "fresh-ref").standard_normal((n, 2))
     fresh_a = derive_rng(seed, "fresh-a").standard_normal((n, 2))
-    floor = w2_sliced(fresh_a, ref, seed=seed).value
 
     rounds = multistep(cm, [T, 0.7, 0.7, 0.7], n, seed)
     q1, qk = rounds[0], rounds[-1]      # round 1 is the one-step batch
     q_ou = ou_smooth(q1, 0.05, seed)
     q_ulmc = ulmc_run(score_at_delta, q1, 1.0, 0.005, 200, seed, t=delta)
 
-    rows = []
-    for name, batch in [("one_step", q1), ("multistep_k4", qk),
-                        ("one_step_ou", q_ou), ("one_step_ulmc", q_ulmc)]:
-        val = w2_sliced(batch, ref, seed=seed).value
-        rows.append({"sampler": name, "sliced_w2": val,
-                     "ratio_to_floor": val / floor})
+    names = ["one_step", "multistep_k4", "one_step_ou", "one_step_ulmc"]
+    floor, *vals = [r.value for r in w2_sliced_many(
+        [fresh_a, q1, qk, q_ou, q_ulmc], ref, seed=seed)]
+    rows = [{"sampler": name, "sliced_w2": val, "ratio_to_floor": val / floor}
+            for name, val in zip(names, vals)]
     return {"rows": rows, "noise_floor": floor, "n": n}
 
 
@@ -517,7 +524,7 @@ def run_experiment(raw, kind: Optional[str] = None,
         args["seed"] = root
     try:
         body = core(**args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         raise ConfigError(f"config rejected by {kind}: {exc}") from exc
     return {"kind": kind, "seed": root, "config": params, "result": body}
 

@@ -31,12 +31,12 @@ def _points(batch) -> np.ndarray:
     return batch.points
 
 
-def _w2_sorted(xp: np.ndarray, xq: np.ndarray) -> float:
-    """Empirical W2 between two 1-d point sets of equal size via the
+def _w2_presorted(sp: np.ndarray, sq: np.ndarray) -> float:
+    """Empirical W2 between two sorted 1-d point sets of equal size: the
     sorted (quantile) coupling."""
-    if xp.shape[0] != xq.shape[0]:
+    if sp.shape[0] != sq.shape[0]:
         raise ValueError("batches must have equal size for the exact coupling")
-    return float(np.sqrt(np.mean((np.sort(xp) - np.sort(xq)) ** 2)))
+    return float(np.sqrt(np.mean((sp - sq) ** 2)))
 
 
 def w2_1d_exact(batch_p, batch_q) -> MetricReport:
@@ -48,7 +48,7 @@ def w2_1d_exact(batch_p, batch_q) -> MetricReport:
     if xp.shape[1] != 1 or xq.shape[1] != 1:
         raise ValueError(f"need (n, 1) batches, not {xp.shape} and "
                          f"{xq.shape}")
-    return MetricReport(_w2_sorted(xp[:, 0], xq[:, 0]))
+    return MetricReport(_w2_presorted(np.sort(xp[:, 0]), np.sort(xq[:, 0])))
 
 
 def w2_sliced(batch_p, batch_q, n_proj: int = 64,
@@ -60,19 +60,30 @@ def w2_sliced(batch_p, batch_q, n_proj: int = 64,
     sqrt(d); callers comparing against analytic W2 values must apply that
     calibration themselves.
     """
-    xp, xq = _points(batch_p), _points(batch_q)
-    if xp.shape[1] != xq.shape[1]:
+    return w2_sliced_many([batch_p], batch_q, n_proj, seed)[0]
+
+
+def w2_sliced_many(batches, ref, n_proj: int = 64,
+                   seed: int = 0) -> list[MetricReport]:
+    """[w2_sliced(b, ref, n_proj, seed) for b in batches], with each of
+    ref's projections sorted once for all the batches.  In d = 1 each is
+    w2_1d_exact(b, ref)."""
+    xps = [_points(b) for b in batches]
+    xq = _points(ref)
+    d = xq.shape[1]
+    if any(xp.shape[1] != d for xp in xps):
         raise ValueError("batches must have matching dimension")
-    d = xp.shape[1]
     if d == 1:
-        return w2_1d_exact(xp, xq)
+        return [w2_1d_exact(xp, xq) for xp in xps]
     rng = derive_rng(seed, "sliced-dirs")
     u = rng.standard_normal((n_proj, d))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    vals = np.empty(n_proj)
+    vals = np.empty((len(xps), n_proj))
     for j in range(n_proj):
-        vals[j] = _w2_sorted(xp @ u[j], xq @ u[j]) ** 2
-    return MetricReport(float(np.sqrt(np.mean(vals))))
+        sq = np.sort(xq @ u[j])
+        for i, xp in enumerate(xps):
+            vals[i, j] = _w2_presorted(np.sort(xp @ u[j]), sq) ** 2
+    return [MetricReport(float(np.sqrt(np.mean(row)))) for row in vals]
 
 
 def fit_gaussian(batch) -> tuple[np.ndarray, np.ndarray]:

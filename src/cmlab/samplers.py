@@ -11,6 +11,8 @@ toward as an argument: a batch carries points only, not a time.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 from scipy.linalg import expm
 
@@ -90,6 +92,11 @@ def _ulmc_increment_cov(gamma: float, tau: float) -> tuple[float, float, float]:
     return var_z, cov_zv, var_v
 
 
+def _fill_normal(rng: np.random.Generator, *bufs: np.ndarray) -> None:
+    for buf in bufs:
+        rng.standard_normal(out=buf)
+
+
 def ulmc_run(score_model: ScoreModel, batch: SampleBatch, gamma: float,
              tau: float, n_steps: int, seed: int, *, t: float) -> SampleBatch:
     """Underdamped Langevin corrector with frozen-score steps toward the
@@ -102,6 +109,16 @@ def ulmc_run(score_model: ScoreModel, batch: SampleBatch, gamma: float,
     [0, tau] with the score frozen at the step's start position (the 2x2
     per-coordinate Gaussian increment is sampled in closed form).  With
     gamma = 0 the update is the noiseless ballistic limit.
+
+    With gamma > 0, step k + 1's two normal fills run on a one-worker
+    pool while step k's score and mean update run, into the one of two
+    noise buffers that step k does not read.  The step's stream is
+    derived in the calling thread, and the step writes into z, v and
+    the score's array in the formula's operand order, so the result is
+    bit for bit that of drawing and computing in line.  The rule that
+    keeps it so: a pool thread runs only elementwise numpy and RNG fills
+    on arrays that it alone owns, and never calls BLAS or shares a
+    generator.  The pool is joined before the function returns.
     """
     if gamma < 0 or tau <= 0:
         raise ValueError("need gamma >= 0 and tau > 0")
@@ -126,16 +143,38 @@ def ulmc_run(score_model: ScoreModel, batch: SampleBatch, gamma: float,
         lz = np.sqrt(var_z)
         lvz = cov_zv / lz if lz > 0 else 0.0
         lvv = np.sqrt(max(var_v - lvz**2, 0.0))
-        for k in range(n_steps):
-            s0 = score_model(z, t)
-            drift = s0 / gamma
-            z_mean = z + drift * tau + (1.0 - decay) * (v - drift) / gamma
-            v_mean = drift + decay * (v - drift)
-            rng = derive_rng(seed, "ulmc-step", k)
-            eta1 = rng.standard_normal(z.shape)
-            eta2 = rng.standard_normal(z.shape)
-            z = z_mean + lz * eta1
-            v = v_mean + lvz * eta1 + lvv * eta2
+        diff = np.empty_like(z)
+        noise = [(np.empty_like(z), np.empty_like(z)) for _ in range(2)]
+        with ThreadPoolExecutor(1) as pool:
+
+            def draw(k):
+                return pool.submit(_fill_normal,
+                                   derive_rng(seed, "ulmc-step", k),
+                                   *noise[k % 2])
+
+            pending = draw(0) if n_steps else None
+            for k in range(n_steps):
+                ahead = draw(k + 1) if k + 1 < n_steps else None
+                # drift = s0 / gamma;
+                # z_mean = z + drift tau + (1 - decay) (v - drift) / gamma;
+                # v_mean = drift + decay (v - drift)
+                drift = score_model(z, t)
+                np.divide(drift, gamma, out=drift)
+                np.subtract(v, drift, out=diff)
+                np.multiply(decay, diff, out=v)
+                np.add(drift, v, out=v)
+                np.multiply(drift, tau, out=drift)
+                np.add(z, drift, out=z)
+                np.multiply(1.0 - decay, diff, out=diff)
+                np.divide(diff, gamma, out=diff)
+                np.add(z, diff, out=z)
+                # z = z_mean + lz eta1; v = v_mean + lvz eta1 + lvv eta2
+                pending.result()
+                eta1, eta2 = noise[k % 2]
+                np.add(z, np.multiply(lz, eta1, out=diff), out=z)
+                np.add(v, np.multiply(lvz, eta1, out=diff), out=v)
+                np.add(v, np.multiply(lvv, eta2, out=diff), out=v)
+                pending = ahead
     return SampleBatch(points=z)
 
 

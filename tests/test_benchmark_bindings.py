@@ -8,6 +8,7 @@ import importlib
 import importlib.util
 import pkgutil
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,57 @@ def test_traced_eps_cm_sweep_marches_its_base_once():
     assert tracer.stats["distributions.score"]["points"] == rows
     assert tracer.stats["models.measure_cm_error"]["calls"] == 1
     assert traced == plain
+
+
+def test_traced_h_sweep_counts_every_march():
+    # the march workload's sweep, its marches on two pool threads, each
+    # counted once.  The tracer adds a call's points to its total across
+    # a call (stats.get, then the store), and a thread switch forced
+    # between the two loses the other thread's update: a Tier-1 run read
+    # 119,700 of 120,000 points.  A switch is forced only after a thread
+    # waits the switch interval for the GIL, so the traced sweep runs
+    # with a long one and the counts measure the sweep, not that race.
+    n = 300
+
+    def sweep():
+        return harness.render_json(harness.h_sweep_one_step(n=n, seed=7))
+
+    plain = sweep()
+    tracer = _load("tracer").Tracer()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(60.0)
+    try:
+        with tracer.installed():
+            traced = sweep()
+    finally:
+        sys.setswitchinterval(interval)
+    assert tracer.stats["distributions.score"]["calls"] == 400
+    assert tracer.stats["distributions.score"]["points"] == 400 * n
+    assert tracer.stats["flows.exp_integrator_step"]["points"] == 400 * n
+    assert traced == plain
+
+
+def test_traced_ulmc_derives_every_stream_in_the_calling_thread(
+        monkeypatch):
+    # the initial velocities' stream and one per step, as the loop that
+    # drew its noise in line; the pool thread only fills
+    dist = MixtureParams.gaussian([0.0, 0.0], [4.0, 4.0])
+    sm = models.exact_score_model(dist)
+    batch = SampleBatch(points=np.linspace(-1.0, 1.0, 14).reshape(7, 2))
+    n_steps = 6
+    plain = samplers.ulmc_run(sm, batch, 1.0, 0.01, n_steps, 0, t=0.01)
+    tracer = _load("tracer").Tracer()
+    with tracer.installed():
+        traced = samplers.ulmc_run(sm, batch, 1.0, 0.01, n_steps, 0, t=0.01)
+    assert tracer.stats["rng.derive_rng"]["calls"] == 1 + n_steps
+    assert np.array_equal(traced.points, plain.points)
+
+    threads = []
+    derive = samplers.derive_rng
+    monkeypatch.setattr(samplers, "derive_rng", lambda *a: threads.append(
+        threading.get_ident()) or derive(*a))
+    samplers.ulmc_run(sm, batch, 1.0, 0.01, n_steps, 0, t=0.01)
+    assert threads == [threading.get_ident()] * (1 + n_steps)
 
 
 def _counted_calls() -> dict:

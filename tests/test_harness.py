@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from cmlab.models import (discretized_cm, exact_score_model,
                           measure_cm_error, perturb_cm)
 from cmlab.rng import derive_seed
 from cmlab.samplers import one_step
+from cmlab.schedule import uniform_grid
 from reference_kernel import _mixture_score
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -140,6 +142,56 @@ class TestRunExperiment:
         # Richardson extrapolation leaves a floor below both measured errors
         assert rep["floor"] < min(r["w2"] for r in rep["rows"])
         assert all(r["w2_excess"] > 0 for r in rep["rows"])
+
+
+class TestHSweepPool:
+    """The h-sweep marches its grids on a two-thread pool; its report is
+    that of the serial loop, and the pool is gone when it returns."""
+
+    @staticmethod
+    def serial(dist, delta, T, h_list, floor_h, n, seed):
+        # the sweep as one march after another, each fitted in turn
+        sm = exact_score_model(dist)
+        p_delta = marginal_at(dist, delta)
+
+        def err_at(grid):
+            batch = one_step(discretized_cm(sm, grid), T, n, seed)
+            return w2_gaussian_fit(batch, p_delta).value
+
+        rows = [{"h": float(h), "w2": err_at(harness._grid_for(delta, h, T))}
+                for h in h_list]
+        e_floor = err_at(uniform_grid(delta, floor_h, T))
+        e_floor2 = err_at(uniform_grid(delta, 2.0 * floor_h, T))
+        floor = 2.0 * e_floor - e_floor2
+        for r in rows:
+            r["w2_excess"] = r["w2"] - floor
+        return {"rows": rows, "floor": floor, "floor_h": floor_h,
+                "w2_at_floor_h": e_floor, "w2_at_2floor_h": e_floor2}
+
+    @pytest.mark.parametrize("seed", [3, 21057])
+    def test_equals_the_serial_loop(self, seed):
+        dist = MixtureParams.gaussian([1.0, -0.5], [4.0, 0.25])
+        args = (dist, 0.01, 2.0, [0.2, 0.1, 0.05, 0.025], 0.0125, 3000,
+                seed)
+        before = threading.active_count()
+        got = render_json(h_sweep_one_step(*args))
+        assert threading.active_count() == before
+        assert got == render_json(self.serial(*args))
+
+    def test_pool_is_joined_when_a_march_raises(self, monkeypatch):
+        marched = []
+
+        def failing(cm, T, n, seed):
+            marched.append(T)
+            if len(marched) == 3:
+                raise RuntimeError("march failed")
+            return one_step(cm, T, n, seed)
+
+        monkeypatch.setattr(harness, "one_step", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="march failed"):
+            h_sweep_one_step(n=200)
+        assert threading.active_count() == before
 
 
 class TestEpsCmSweep:
@@ -450,6 +502,12 @@ class TestCliRejects:
         ("gradcheck", {"dt_list": [700, 600, 500], "n_mc": 1000},
          "config rejected by gradcheck: grad_gap at dt=700.0: the CD "
          "target lost more than half its digits"),
+        # numpy refuses a batch this large at once, allocating nothing;
+        # the h-sweep's refusal comes from a pool thread
+        ("sample", {"kind": "sample", "n": 1_000_000_000_000},
+         "config rejected by sample: Unable to allocate 14.6 TiB"),
+        ("sweep", {"kind": "h-sweep", "n": 100_000_000_000},
+         "config rejected by h-sweep: Unable to allocate 1.46 TiB"),
     ], ids=["n-text", "n-one", "sample-foreign-keys", "hessian-foreign-key",
             "weights-object", "n-bool", "seed-float", "sampler", "grid-null",
             "times-beyond-T", "times-beyond-T-grid", "ou-tv-square-overflow",
@@ -457,7 +515,8 @@ class TestCliRejects:
             "reference-field-overflow", "point-mass-tiny-t",
             "gradcheck-step-overflow", "sweep-gradcheck-step-overflow",
             "ulmc-ballistic-overflow", "ulmc-series-overflow",
-            "gradcheck-target-cancels"])
+            "gradcheck-target-cancels", "sample-too-large",
+            "h-sweep-too-large"])
     def test_malformed_config(self, tmp_path, capsys, recwarn, command,
                               config, message):
         path = tmp_path / "c.json"

@@ -9,7 +9,7 @@ from scipy.stats import norm
 from cmlab.distributions import MixtureParams
 from cmlab.metrics import (_bures_w2, fit_gaussian, tv_gaussian_1d,
                            w2_1d_exact, w2_fit_pair, w2_gaussian_fit,
-                           w2_sliced)
+                           w2_sliced, w2_sliced_many)
 from cmlab.rng import derive_rng
 
 
@@ -98,6 +98,48 @@ class TestW2Sliced:
                          .value ** 2 for v in u])
         assert w2_sliced(a, b, n_proj=16, seed=11).value \
             == float(np.sqrt(np.mean(vals)))
+
+    def test_many_is_each_batch_against_the_reference(self):
+        # bit for bit the projections' formula written out, batch by batch
+        rng = np.random.default_rng(8)
+        ref = rng.normal(size=(1000, 3))
+        batches = [rng.normal(size=(1000, 3)) * s for s in (1.0, 2.0, 0.5)]
+        u = derive_rng(3, "sliced-dirs").standard_normal((16, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        expect = [float(np.sqrt(np.mean([
+            w2_1d_exact((b @ v)[:, None], (ref @ v)[:, None]).value ** 2
+            for v in u]))) for b in batches]
+        got = w2_sliced_many(batches, ref, n_proj=16, seed=3)
+        assert [r.value for r in got] == expect
+        assert [w2_sliced(b, ref, n_proj=16, seed=3).value
+                for b in batches] == expect
+
+    def test_many_in_one_dimension_is_exact(self):
+        rng = np.random.default_rng(9)
+        ref = rng.normal(size=(400, 1))
+        batches = [rng.normal(size=(400, 1)) + m for m in (0.0, 1.0)]
+        assert [r.value for r in w2_sliced_many(batches, ref)] \
+            == [w2_1d_exact(b, ref).value for b in batches]
+
+    def test_many_sorts_each_reference_projection_once(self, monkeypatch):
+        # five batches on 64 directions: 64 sorts of the reference and
+        # 5 * 64 of the batches, where five calls of w2_sliced make 640
+        calls = []
+        sort = np.sort
+        monkeypatch.setattr(np, "sort",
+                            lambda a, *args, **kw: calls.append(1)
+                            or sort(a, *args, **kw))
+        rng = np.random.default_rng(10)
+        ref = rng.normal(size=(50, 2))
+        w2_sliced_many([rng.normal(size=(50, 2)) for _ in range(5)], ref)
+        assert len(calls) == 64 + 5 * 64
+
+    def test_many_rejects_a_mismatched_batch(self):
+        ref = np.zeros((10, 2))
+        with pytest.raises(ValueError, match="matching dimension"):
+            w2_sliced_many([np.zeros((10, 2)), np.zeros((10, 3))], ref)
+        with pytest.raises(ValueError, match="equal size"):
+            w2_sliced_many([np.zeros((10, 2)), np.zeros((9, 2))], ref)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(4)

@@ -1,3 +1,5 @@
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +11,7 @@ from cmlab.models import ScoreModel, exact_cm, exact_score_model
 from cmlab.samplers import (fixed_time_schedule, multistep, one_step,
                             ou_smooth, ulmc_mean_contraction, ulmc_run)
 from cmlab.schedule import build_grid
+from reference_ulmc import ulmc_run as reference_ulmc_run
 
 
 def wide_gaussian(d=2):
@@ -200,6 +203,81 @@ class TestUlmc:
         ulmc_run(ScoreModel(fn=recording, dim=2), batch, gamma, 0.1, 4, 0,
                  t=0.37)
         assert seen == [0.37] * 4
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestUlmcAgainstReference:
+    """The in-place loop, with each step's noise filled one step ahead on
+    a pool thread, gives the bits of the reference loop that draws and
+    allocates in line."""
+
+    @staticmethod
+    def _mixture(d, rng):
+        return exact_score_model(MixtureParams(
+            np.array([0.3, 0.7]), rng.normal(size=(2, d)),
+            rng.uniform(0.5, 2.0, (2, d))))
+
+    @pytest.mark.parametrize("gamma, tau", [
+        (1.0, 0.01), (1e-4, 0.01), (0.001, 1e-110)],
+        ids=["closed-form", "series", "lz-zero"])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("n_steps", [0, 1, 2, 7])
+    def test_equals_the_reference_loop(self, gamma, tau, d, n_steps):
+        rng = np.random.default_rng(10 * d + n_steps)
+        sm = self._mixture(d, rng)
+        batch = SampleBatch(points=rng.normal(size=(37, d)))
+        got = ulmc_run(sm, batch, gamma, tau, n_steps, 11, t=0.05)
+        expect = reference_ulmc_run(sm, batch, gamma, tau, n_steps, 11,
+                                    t=0.05)
+        assert np.array_equal(bits(got.points), bits(expect.points))
+
+    def test_equals_the_reference_loop_on_a_large_batch(self):
+        # large enough that numpy releases the GIL, so the fills overlap
+        # the score and the mean update
+        rng = np.random.default_rng(4)
+        sm = self._mixture(2, rng)
+        batch = SampleBatch(points=rng.normal(size=(60_000, 2)))
+        got = ulmc_run(sm, batch, 1.0, 0.005, 12, 5, t=0.01)
+        expect = reference_ulmc_run(sm, batch, 1.0, 0.005, 12, 5, t=0.01)
+        assert np.array_equal(bits(got.points), bits(expect.points))
+
+    def test_pool_is_joined_also_when_the_score_raises(self):
+        batch = SampleBatch(points=np.zeros((50, 2)))
+        before = threading.active_count()
+        ulmc_run(exact_score_model(wide_gaussian()), batch, 1.0, 0.01, 5,
+                 0, t=0.0)
+        assert threading.active_count() == before
+        calls = []
+
+        def failing(x, t):
+            calls.append(t)
+            if len(calls) == 3:
+                raise RuntimeError("score failed")
+            return -x
+
+        with pytest.raises(RuntimeError, match="score failed"):
+            ulmc_run(ScoreModel(fn=failing, dim=2), batch, 1.0, 0.01, 5, 0,
+                     t=0.0)
+        assert threading.active_count() == before
+
+    def test_a_run_holds_nine_batches(self):
+        # z, v, one scratch array and two pairs of noise buffers for the
+        # whole run, and the score's arrays of this step and the last:
+        # the reference loop allocates its batches afresh and holds 11
+        neg = ScoreModel(fn=lambda y, t: np.negative(y), dim=2)
+        batch = SampleBatch(
+            points=np.random.default_rng(5).normal(size=(50_000, 2)))
+        ulmc_run(neg, batch, 1.0, 0.01, 2, 3, t=0.0)
+        tracemalloc.start()
+        try:
+            ulmc_run(neg, batch, 1.0, 0.01, 20, 3, t=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9.5 * batch.points.nbytes
 
 
 class TestUlmcMeanContraction:
