@@ -34,7 +34,10 @@ N(mu, diag(s0)) is N(e^{-t} mu, diag(e^{-2t} s0 + 1 - e^{-2t})).
 
 from __future__ import annotations
 
+import contextvars
+from concurrent.futures import Executor
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -279,7 +282,53 @@ def _posterior(dist: MixtureParams, t: float, x: np.ndarray):
     return resp, grad_i, variances
 
 
-def score(dist: MixtureParams, t: float, x: np.ndarray) -> np.ndarray:
+def split_rows(pool: Optional[Executor], fn, *arrays) -> list:
+    """fn over the rows of (n, ...) arrays, cut at a row h that is a
+    multiple of 8: [fn(rows below h), fn(rows from h)], the second on one
+    of pool's workers while the first runs in the calling thread, and
+    [fn(*arrays)] in line without a pool or below 16 rows.
+
+    Both parts are done when it returns, also when one raises, and the
+    worker runs in a copy of the caller's context, so numpy's errstate
+    there is the caller's.  For elementwise fn each row's bits are those
+    of one call on the whole arrays: h d entries are whole SIMD vectors,
+    so the entries a loop leaves to its scalar remainder are the same
+    (see the module docstring)."""
+    h = arrays[0].shape[0] // 16 * 8
+    if pool is None or h == 0:
+        return [fn(*arrays)]
+    ahead = pool.submit(contextvars.copy_context().run, fn,
+                        *(a[h:] for a in arrays))
+    try:
+        first = fn(*(a[:h] for a in arrays))
+    except BaseException:
+        ahead.exception()           # wait: the worker writes into arrays
+        raise
+    return [first, ahead.result()]
+
+
+def _gaussian_score_rows(x: np.ndarray, m: np.ndarray, v: np.ndarray,
+                         out: np.ndarray) -> bool:
+    """out = -(x - m) / v column by column, when the rows pass the
+    closed form's overflow guard (see `score`); False, with out holding
+    x - m, when they do not."""
+    for j in range(x.shape[1]):
+        np.subtract(x[:, j], m[j], out=out[:, j])
+    # Python floats: the guard's own overflow gives inf, not a warning;
+    # a NaN entry makes both extremes, and so reach, NaN
+    reach = max(float(out.max(initial=0.0)), -float(out.min(initial=0.0)))
+    if not (reach * reach * v.shape[0] < 1e300 * float(v.min())
+            and v.max() < 1e300):
+        return False
+    for j in range(x.shape[1]):
+        col = out[:, j]
+        np.divide(col, v[j], out=col)
+        np.subtract(0.0, col, out=col)
+    return True
+
+
+def score(dist: MixtureParams, t: float, x: np.ndarray, *,
+          pool: Optional[Executor] = None) -> np.ndarray:
     """Exact score grad log p_t(x) (n, d): the responsibility-weighted
     mean of the per-component scores.
 
@@ -301,23 +350,18 @@ def score(dist: MixtureParams, t: float, x: np.ndarray) -> np.ndarray:
     components adds 1.0 * g to 0.0, which 0.0 - (x - m_t) / v_t repeats,
     -0.0 entries turning into +0.0 included.  Any other batch (a row near
     overflow or NaN, a zero variance) takes the general kernel, which
-    gives its NaN rows or raises."""
+    gives its NaN rows or raises.
+
+    Given a pool, the closed form runs on two halves of the rows at once
+    (`split_rows`), each checking the guard on its own rows; the batch
+    takes the closed form when both pass, which is when the whole batch
+    passes, with the same bits.  The general kernel ignores the pool."""
     if dist.n_components == 1:
         means, variances = _ou_moments(dist, t)
         m, v = means[0], variances[0]
         out = np.empty(x.shape)
-        for j in range(x.shape[1]):
-            np.subtract(x[:, j], m[j], out=out[:, j])
-        # Python floats: the guard's own overflow gives inf, not a warning;
-        # a NaN entry makes both extremes, and so reach, NaN
-        reach = max(float(out.max(initial=0.0)),
-                    -float(out.min(initial=0.0)))
-        if (reach * reach * v.shape[0] < 1e300 * float(v.min())
-                and v.max() < 1e300):
-            for j in range(x.shape[1]):
-                col = out[:, j]
-                np.divide(col, v[j], out=col)
-                np.subtract(0.0, col, out=col)
+        if all(split_rows(pool, lambda xs, outs: _gaussian_score_rows(
+                xs, m, v, outs), x, out)):
             return out
     resp, grad_i, _ = _posterior(dist, t, x)
     terms = np.multiply(resp[:, None, :], grad_i, out=grad_i)  # (K, d, n8)

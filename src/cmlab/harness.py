@@ -91,28 +91,29 @@ def h_sweep_one_step(distribution: MixtureParams = _GAUSS_4I,
     family: F = 2*err(floor_h) - err(2*floor_h), which cancels the linear
     discretization term of those two runs and leaves the pure limit error.
 
-    The marches, one per h and two for the floor, run on a two-thread
-    pool, and each batch is fitted in the calling thread as it comes
-    back, in grid order.  The result is bit for bit that of marching one
-    grid after another, by this rule: a pool thread runs only elementwise
-    numpy and RNG fills on arrays that it alone owns, and never calls
-    BLAS or shares a generator (each march draws its own copy of the
-    input noise from its own stream).  The pool is joined before the
-    function returns, also when a march raises.
+    The marches run one after another in the calling thread, and so does
+    every call of `score` and `exp_integrator_step` in them.  Inside those
+    calls a one-worker pool takes the second part of the rows
+    (`distributions.split_rows`): the closed-form score of a single
+    Gaussian and the step's sum, elementwise numpy on rows that no other
+    thread touches, so every bit is that of the serial march.  The pool
+    is joined before the function returns, also when a march raises.
     """
-    score_model = exact_score_model(distribution)
     p_delta = marginal_at(distribution, delta)
-    grids = [_grid_for(delta, float(h), T) for h in h_list]
-    grids += [uniform_grid(delta, floor_h, T),
-              uniform_grid(delta, 2.0 * floor_h, T)]
+    with ThreadPoolExecutor(1) as pool:
+        score_model = exact_score_model(distribution, pool=pool)
 
-    def march(grid: TimeGrid) -> SampleBatch:
-        return one_step(discretized_cm(score_model, grid), T, n, seed)
+        def err_at(grid: TimeGrid) -> float:
+            cm = discretized_cm(score_model, grid, pool=pool)
+            batch = one_step(cm, T, n, seed)
+            return w2_gaussian_fit(batch, p_delta).value
 
-    with ThreadPoolExecutor(2) as pool:
-        *ws, e_floor, e_floor2 = [w2_gaussian_fit(batch, p_delta).value
-                                  for batch in pool.map(march, grids)]
-    rows = [{"h": float(h), "w2": e} for h, e in zip(h_list, ws)]
+        rows = []
+        for h in h_list:
+            e = err_at(_grid_for(delta, float(h), T))
+            rows.append({"h": float(h), "w2": e})
+        e_floor = err_at(uniform_grid(delta, floor_h, T))
+        e_floor2 = err_at(uniform_grid(delta, 2.0 * floor_h, T))
     floor = 2.0 * e_floor - e_floor2
     for r in rows:
         r["w2_excess"] = r["w2"] - floor

@@ -124,14 +124,10 @@ def test_traced_eps_cm_sweep_marches_its_base_once():
     assert traced == plain
 
 
-def test_traced_h_sweep_counts_every_march():
-    # the march workload's sweep, its marches on two pool threads, each
-    # counted once.  The tracer adds a call's points to its total across
-    # a call (stats.get, then the store), and a thread switch forced
-    # between the two loses the other thread's update: a Tier-1 run read
-    # 119,700 of 120,000 points.  A switch is forced only after a thread
-    # waits the switch interval for the GIL, so the traced sweep runs
-    # with a long one and the counts measure the sweep, not that race.
+def test_traced_h_sweep_counts_every_march(monkeypatch):
+    # the march workload's sweep: the pool's worker computes half of each
+    # step's rows, and every traced call stays in the calling thread,
+    # where the tracer's span stack and counters are not shared
     n = 300
 
     def sweep():
@@ -139,17 +135,22 @@ def test_traced_h_sweep_counts_every_march():
 
     plain = sweep()
     tracer = _load("tracer").Tracer()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(60.0)
-    try:
-        with tracer.installed():
-            traced = sweep()
-    finally:
-        sys.setswitchinterval(interval)
+    with tracer.installed():
+        traced = sweep()
     assert tracer.stats["distributions.score"]["calls"] == 400
     assert tracer.stats["distributions.score"]["points"] == 400 * n
     assert tracer.stats["flows.exp_integrator_step"]["points"] == 400 * n
     assert traced == plain
+
+    threads = set()
+    for module, name in [(models, "score"), (models, "exp_integrator_step"),
+                         (samplers, "one_step"), (samplers, "derive_rng"),
+                         (harness, "w2_gaussian_fit")]:
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, fn=fn, **k: (
+            threads.add(threading.get_ident()), fn(*a, **k))[1])
+    assert sweep() == plain
+    assert threads == {threading.get_ident()}
 
 
 def test_traced_ulmc_derives_every_stream_in_the_calling_thread(

@@ -1,4 +1,5 @@
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -115,18 +116,24 @@ class TestExpIntegratorInPlace:
                         -1e160):
                 for i in rng.integers(n, size=rng.integers(3)) if n else ():
                     a[i, rng.uniform(size=d) < 0.5] = bad
-        if data.draw(st.booleans(), label="exact score"):
-            dist = MixtureParams(np.array([0.6, 0.4]),
-                                 rng.normal(size=(2, d)),
-                                 rng.uniform(0.1, 2.0, (2, d)))
+        k = data.draw(st.sampled_from([0, 1, 2]), label="components")
+        if k:
+            dist = MixtureParams(np.array([[1.0], [0.6, 0.4]][k - 1]),
+                                 rng.normal(size=(k, d)),
+                                 rng.uniform(0.1, 2.0, (k, d)))
             sm = exact_score_model(dist)
         else:
             sm = ScoreModel(fn=lambda y, t: s_fixed.copy(), dim=d)
         x_before = x.copy()
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"), ThreadPoolExecutor(1) as pool:
             expect = self.formula(sm, x, t_lo + dt, t_lo)
             got = exp_integrator_step(sm, x, t_lo + dt, t_lo)
+            # the sum on two parts of the rows, and a K = 1 score too
+            pooled = exp_integrator_step(
+                exact_score_model(dist, pool=pool) if k == 1 else sm, x,
+                t_lo + dt, t_lo, pool=pool)
         assert np.array_equal(bits(got), bits(expect))
+        assert np.array_equal(bits(pooled), bits(expect))
         assert np.array_equal(bits(x), bits(x_before))
 
     def test_one_step_holds_two_batches(self):
@@ -141,6 +148,36 @@ class TestExpIntegratorInPlace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak <= 2.5 * x.nbytes
+
+    @pytest.mark.parametrize("n", [16, 37, 61, 200])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_split_step_keeps_nan_signs(self, n, d):
+        # where NaNs of both signs meet, numpy keeps one operand's inside
+        # whole SIMD vectors and the other's in a loop's scalar remainder;
+        # a cut at a multiple of 8 rows leaves the remainder where it was
+        rng = np.random.default_rng(100 * n + d)
+        x = rng.normal(size=(n, d))
+        s_fixed = rng.normal(size=(n, d))
+        x[rng.uniform(size=(n, d)) < 0.4] = np.nan
+        s_fixed[rng.uniform(size=(n, d)) < 0.4] = -np.nan
+        sm = ScoreModel(fn=lambda y, t: s_fixed.copy(), dim=d)
+        with np.errstate(invalid="ignore"), ThreadPoolExecutor(1) as pool:
+            expect = self.formula(sm, x, 0.6, 0.5)
+            got = exp_integrator_step(sm, x, 0.6, 0.5, pool=pool)
+        assert np.array_equal(bits(got), bits(expect))
+
+    def test_split_step_holds_two_batches(self):
+        x = np.random.default_rng(7).normal(size=(50_000, 2))
+        with ThreadPoolExecutor(1) as pool:
+            sm = exact_score_model(wide_gaussian(2), pool=pool)
+            exp_integrator_step(sm, x, 1.0, 0.9, pool=pool)
+            tracemalloc.start()
+            try:
+                exp_integrator_step(sm, x, 1.0, 0.9, pool=pool)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert peak <= 2.5 * x.nbytes
 
 

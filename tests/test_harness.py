@@ -130,9 +130,11 @@ class TestRunExperiment:
         ids=["h-sweep", "eps-cm-sweep"])
     def test_closed_form_score_leaves_report_bytes(self, monkeypatch, core):
         # the one-component closed form in `score` against the general
-        # kernel it replaces on these single-Gaussian sweeps
+        # kernel it replaces on these single-Gaussian sweeps; the h-sweep
+        # hands its score a pool, which the general kernel does not use
         fast = render_json(core(n=2000))
-        monkeypatch.setattr(models, "score", _mixture_score)
+        monkeypatch.setattr(models, "score", lambda dist, t, x, pool=None:
+                            _mixture_score(dist, t, x))
         assert render_json(core(n=2000)) == fast
 
     def test_crn_floor_is_h_independent_limit(self):
@@ -145,8 +147,9 @@ class TestRunExperiment:
 
 
 class TestHSweepPool:
-    """The h-sweep marches its grids on a two-thread pool; its report is
-    that of the serial loop, and the pool is gone when it returns."""
+    """The h-sweep splits each step's rows with a one-worker pool; its
+    report is that of the serial loop, and the pool is gone when it
+    returns."""
 
     @staticmethod
     def serial(dist, delta, T, h_list, floor_h, n, seed):
@@ -502,8 +505,7 @@ class TestCliRejects:
         ("gradcheck", {"dt_list": [700, 600, 500], "n_mc": 1000},
          "config rejected by gradcheck: grad_gap at dt=700.0: the CD "
          "target lost more than half its digits"),
-        # numpy refuses a batch this large at once, allocating nothing;
-        # the h-sweep's refusal comes from a pool thread
+        # numpy refuses a batch this large at once, allocating nothing
         ("sample", {"kind": "sample", "n": 1_000_000_000_000},
          "config rejected by sample: Unable to allocate 14.6 TiB"),
         ("sweep", {"kind": "h-sweep", "n": 100_000_000_000},
