@@ -33,8 +33,8 @@ from .models import (discretized_cm, empirical_cm, estimate_lipschitz,
                      perturb_score, recover_score)
 from .objectives import ParametricCM, grad_gap
 from .rng import derive_rng, derive_seed
-from .samplers import (fixed_time_schedule, multistep, one_step, ou_smooth,
-                       ulmc_mean_contraction, ulmc_run)
+from .samplers import (fixed_time_schedule, input_noise, multistep, one_step,
+                       ou_smooth, ulmc_mean_contraction, ulmc_run)
 from .schedule import TimeGrid, build_grid, uniform_grid
 
 
@@ -91,22 +91,25 @@ def h_sweep_one_step(distribution: MixtureParams = _GAUSS_4I,
     family: F = 2*err(floor_h) - err(2*floor_h), which cancels the linear
     discretization term of those two runs and leaves the pure limit error.
 
-    The marches run one after another in the calling thread, and so does
-    every call of `score` and `exp_integrator_step` in them.  Inside those
-    calls a one-worker pool takes the second part of the rows
-    (`distributions.split_rows`): the closed-form score of a single
-    Gaussian and the step's sum, elementwise numpy on rows that no other
-    thread touches, so every bit is that of the serial march.  The pool
-    is joined before the function returns, also when a march raises.
+    Every grid marches one_step's input draw, drawn once, so each batch
+    is that grid's one_step batch.  The marches run one after another in
+    the calling thread, and so does every call of `score` and
+    `exp_integrator_step` in them.  Inside those calls a one-worker pool
+    takes the second part of the rows (`distributions.split_rows`): the
+    closed-form score of a single Gaussian and the step's sum,
+    elementwise numpy on rows that no other thread touches, so every bit
+    is that of the serial march.  The pool is joined before the function
+    returns, also when a march raises.
     """
     p_delta = marginal_at(distribution, delta)
+    xi = input_noise(n, distribution.dim, seed, 1)
     with ThreadPoolExecutor(1) as pool:
         score_model = exact_score_model(distribution, pool=pool)
 
         def err_at(grid: TimeGrid) -> float:
             cm = discretized_cm(score_model, grid, pool=pool)
-            batch = one_step(cm, T, n, seed)
-            return w2_gaussian_fit(batch, p_delta).value
+            return w2_gaussian_fit(SampleBatch(points=cm(xi, float(T))),
+                                   p_delta).value
 
         rows = []
         for h in h_list:

@@ -32,6 +32,12 @@ def fixed_time_schedule(grid: TimeGrid, lipschitz_f: float,
     return np.concatenate([[grid.T], np.full(max(n_rounds - 1, 0), t_hat)])
 
 
+def input_noise(n: int, dim: int, seed: int, k: int) -> np.ndarray:
+    """xi_k ~ N(0, I_dim), round k's (n, dim) draw in `multistep`; xi_1
+    is one_step's input."""
+    return derive_rng(seed, "xi", k).standard_normal((n, dim))
+
+
 def one_step(cm: ConsistencyModel, T: float, n: int, seed: int) -> SampleBatch:
     """f(xi, T) for xi ~ N(0, I_d): the pushforward of the standard normal,
     which is round 1 of multistep."""
@@ -53,12 +59,11 @@ def multistep(cm: ConsistencyModel, times, n: int,
         raise ValueError("multistep needs at least one time")
     if np.any(times < delta) or np.any(times > times[0]):
         raise ValueError("times must lie in [delta, T] with T first")
-    xi = derive_rng(seed, "xi", 1).standard_normal((n, cm.dim))
-    z = cm(xi, float(times[0]))
+    z = cm(input_noise(n, cm.dim, seed, 1), float(times[0]))
     out = [SampleBatch(points=z)]
     for k, t_k in enumerate(times[1:], start=2):
         t_k = float(t_k)
-        xi = derive_rng(seed, "xi", k).standard_normal((n, cm.dim))
+        xi = input_noise(n, cm.dim, seed, k)
         z = cm(ou_forward(z, t_k - delta, xi), t_k)
         out.append(SampleBatch(points=z))
     return out

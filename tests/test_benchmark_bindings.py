@@ -144,7 +144,7 @@ def test_traced_h_sweep_counts_every_march(monkeypatch):
 
     threads = set()
     for module, name in [(models, "score"), (models, "exp_integrator_step"),
-                         (samplers, "one_step"), (samplers, "derive_rng"),
+                         (samplers, "derive_rng"),
                          (harness, "w2_gaussian_fit")]:
         fn = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, fn=fn, **k: (

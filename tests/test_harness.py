@@ -147,13 +147,14 @@ class TestRunExperiment:
 
 
 class TestHSweepPool:
-    """The h-sweep splits each step's rows with a one-worker pool; its
-    report is that of the serial loop, and the pool is gone when it
-    returns."""
+    """The h-sweep draws its input once and splits each step's rows with
+    a one-worker pool; its report is that of the serial loop of one_step
+    marches, and the pool is gone when it returns."""
 
     @staticmethod
     def serial(dist, delta, T, h_list, floor_h, n, seed):
-        # the sweep as one march after another, each fitted in turn
+        # the sweep as one one_step march after another, each fitted in
+        # turn
         sm = exact_score_model(dist)
         p_delta = marginal_at(dist, delta)
 
@@ -182,15 +183,22 @@ class TestHSweepPool:
         assert got == render_json(self.serial(*args))
 
     def test_pool_is_joined_when_a_march_raises(self, monkeypatch):
-        marched = []
+        # the score fails at its 20th call, mid-march, after the pool's
+        # worker has taken rows of the earlier steps
+        calls = []
 
-        def failing(cm, T, n, seed):
-            marched.append(T)
-            if len(marched) == 3:
-                raise RuntimeError("march failed")
-            return one_step(cm, T, n, seed)
+        def failing(dist, **kw):
+            exact = exact_score_model(dist, **kw)
 
-        monkeypatch.setattr(harness, "one_step", failing)
+            def fn(x, t):
+                calls.append(t)
+                if len(calls) == 20:
+                    raise RuntimeError("march failed")
+                return exact(x, t)
+
+            return models.ScoreModel(fn=fn, dim=exact.dim)
+
+        monkeypatch.setattr(harness, "exact_score_model", failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="march failed"):
             h_sweep_one_step(n=200)
