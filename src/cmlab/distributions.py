@@ -35,9 +35,10 @@ N(mu, diag(s0)) is N(e^{-t} mu, diag(e^{-2t} s0 + 1 - e^{-2t})).
 from __future__ import annotations
 
 import contextvars
-from concurrent.futures import Executor
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -47,6 +48,10 @@ _WEIGHT_TOL = 1e-12
 # log-space floor used when exponentiating responsibilities; below this the
 # density underflows to 0 in double precision anyway
 _LOG_FLOOR = -745.0
+# rows from which `split_rows` hands half a batch to its worker: about
+# where a split step at d = 2 starts to beat the in-line one on two cores
+# (BENCH_30.json's break-even table)
+_SPLIT_ROWS = 2**15
 
 
 class DegenerateDensityError(ValueError):
@@ -282,23 +287,34 @@ def _posterior(dist: MixtureParams, t: float, x: np.ndarray):
     return resp, grad_i, variances
 
 
-def split_rows(pool: Optional[Executor], fn, *arrays) -> list:
-    """fn over the rows of (n, ...) arrays, cut at a row h that is a
-    multiple of 8: [fn(rows below h), fn(rows from h)], the second on one
-    of pool's workers while the first runs in the calling thread, and
-    [fn(*arrays)] in line without a pool or below 16 rows.
+@functools.cache
+def _split_worker() -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(1)    # its thread starts on first use
+
+
+# a forked child has no copy of the worker's thread and makes its own
+os.register_at_fork(after_in_child=_split_worker.cache_clear)
+
+
+def split_rows(fn, *arrays) -> list:
+    """fn over the rows of (n, ...) arrays: [fn(*arrays)] below _SPLIT_ROWS
+    rows, and from there [fn(rows below h), fn(rows from h)], cut at a row
+    h that is a multiple of 8 near the middle, the second part on the
+    module's worker thread while the first runs in the calling thread.
 
     Both parts are done when it returns, also when one raises, and the
     worker runs in a copy of the caller's context, so numpy's errstate
     there is the caller's.  For elementwise fn each row's bits are those
     of one call on the whole arrays: h d entries are whole SIMD vectors,
     so the entries a loop leaves to its scalar remainder are the same
-    (see the module docstring)."""
-    h = arrays[0].shape[0] // 16 * 8
-    if pool is None or h == 0:
+    (see the module docstring).  fn must not call split_rows itself: the
+    worker would wait on its own queue."""
+    n = arrays[0].shape[0]
+    if n < _SPLIT_ROWS:
         return [fn(*arrays)]
-    ahead = pool.submit(contextvars.copy_context().run, fn,
-                        *(a[h:] for a in arrays))
+    h = n // 16 * 8
+    ahead = _split_worker().submit(contextvars.copy_context().run, fn,
+                                   *(a[h:] for a in arrays))
     try:
         first = fn(*(a[:h] for a in arrays))
     except BaseException:
@@ -327,8 +343,7 @@ def _gaussian_score_rows(x: np.ndarray, m: np.ndarray, v: np.ndarray,
     return True
 
 
-def score(dist: MixtureParams, t: float, x: np.ndarray, *,
-          pool: Optional[Executor] = None) -> np.ndarray:
+def score(dist: MixtureParams, t: float, x: np.ndarray) -> np.ndarray:
     """Exact score grad log p_t(x) (n, d): the responsibility-weighted
     mean of the per-component scores.
 
@@ -350,17 +365,15 @@ def score(dist: MixtureParams, t: float, x: np.ndarray, *,
     components adds 1.0 * g to 0.0, which 0.0 - (x - m_t) / v_t repeats,
     -0.0 entries turning into +0.0 included.  Any other batch (a row near
     overflow or NaN, a zero variance) takes the general kernel, which
-    gives its NaN rows or raises.
-
-    Given a pool, the closed form runs on two halves of the rows at once
-    (`split_rows`), each checking the guard on its own rows; the batch
+    gives its NaN rows or raises.  The closed form runs through
+    `split_rows`, each part checking the guard on its own rows: the batch
     takes the closed form when both pass, which is when the whole batch
-    passes, with the same bits.  The general kernel ignores the pool."""
+    passes."""
     if dist.n_components == 1:
         means, variances = _ou_moments(dist, t)
         m, v = means[0], variances[0]
         out = np.empty(x.shape)
-        if all(split_rows(pool, lambda xs, outs: _gaussian_score_rows(
+        if all(split_rows(lambda xs, outs: _gaussian_score_rows(
                 xs, m, v, outs), x, out)):
             return out
     resp, grad_i, _ = _posterior(dist, t, x)

@@ -13,8 +13,7 @@ Every x is an (n, d) batch, and so is every field's and step's value.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -36,16 +35,16 @@ def pf_field(score_fn: Field) -> Field:
     return lambda x, t: -x - score_fn(x, t)
 
 
-def exp_integrator_step(score_model, x, t_hi: float, t_lo: float, *,
-                        pool: Optional[Executor] = None) -> np.ndarray:
+def exp_integrator_step(score_model, x, t_hi: float,
+                        t_lo: float) -> np.ndarray:
     """One exponential-integrator step backward from t_hi to t_lo:
     e^{t_hi - t_lo} x + (e^{t_hi - t_lo} - 1) s(x, t_hi).
 
     The score's array is the step's scratch space (a score model returns
     a fresh array its caller may overwrite), so a step holds two batches,
     not three; the sum keeps the operand order of the formula, bit for
-    bit.  Given a pool, the sum runs on two halves of the rows at once
-    (`distributions.split_rows`), with the same bits."""
+    bit, and runs through `distributions.split_rows`, which takes a large
+    batch's rows in two parts at once with the same bits."""
     if not (0 < t_lo < t_hi):
         raise ValueError(f"need 0 < t_lo < t_hi, got {t_lo}, {t_hi}")
     growth = np.exp(t_hi - t_lo)
@@ -62,7 +61,7 @@ def exp_integrator_step(score_model, x, t_hi: float, t_lo: float, *,
         np.multiply(growth - 1.0, ss, out=ss)
         np.add(outs, ss, out=outs)
 
-    split_rows(pool, combine, np.asarray(x), s, out)
+    split_rows(combine, np.asarray(x), s, out)
     return out
 
 

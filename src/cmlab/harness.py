@@ -17,7 +17,6 @@ import json
 import os
 import sys
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from typing import Literal, Optional, Union, get_args, get_origin
 
 import numpy as np
@@ -93,30 +92,23 @@ def h_sweep_one_step(distribution: MixtureParams = _GAUSS_4I,
 
     Every grid marches one_step's input draw, drawn once, so each batch
     is that grid's one_step batch.  The marches run one after another in
-    the calling thread, and so does every call of `score` and
-    `exp_integrator_step` in them.  Inside those calls a one-worker pool
-    takes the second part of the rows (`distributions.split_rows`): the
-    closed-form score of a single Gaussian and the step's sum,
-    elementwise numpy on rows that no other thread touches, so every bit
-    is that of the serial march.  The pool is joined before the function
-    returns, also when a march raises.
+    the calling thread.
     """
     p_delta = marginal_at(distribution, delta)
     xi = input_noise(n, distribution.dim, seed, 1)
-    with ThreadPoolExecutor(1) as pool:
-        score_model = exact_score_model(distribution, pool=pool)
+    score_model = exact_score_model(distribution)
 
-        def err_at(grid: TimeGrid) -> float:
-            cm = discretized_cm(score_model, grid, pool=pool)
-            return w2_gaussian_fit(SampleBatch(points=cm(xi, float(T))),
-                                   p_delta).value
+    def err_at(grid: TimeGrid) -> float:
+        cm = discretized_cm(score_model, grid)
+        return w2_gaussian_fit(SampleBatch(points=cm(xi, float(T))),
+                               p_delta).value
 
-        rows = []
-        for h in h_list:
-            e = err_at(_grid_for(delta, float(h), T))
-            rows.append({"h": float(h), "w2": e})
-        e_floor = err_at(uniform_grid(delta, floor_h, T))
-        e_floor2 = err_at(uniform_grid(delta, 2.0 * floor_h, T))
+    rows = []
+    for h in h_list:
+        e = err_at(_grid_for(delta, float(h), T))
+        rows.append({"h": float(h), "w2": e})
+    e_floor = err_at(uniform_grid(delta, floor_h, T))
+    e_floor2 = err_at(uniform_grid(delta, 2.0 * floor_h, T))
     floor = 2.0 * e_floor - e_floor2
     for r in rows:
         r["w2_excess"] = r["w2"] - floor
@@ -353,7 +345,12 @@ def sample_experiment(distribution: MixtureParams = _GAUSS_4I,
     the grid-discretized one when h is given: "one-step", "multistep" on
     the schedule `times` (default [T, 1, 1, 1], each entry in [delta, T]),
     or one-step followed by OU smoothing ("one-step+ou", tau default 0.05)
-    or by the Langevin corrector ("one-step+ulmc", tau default 0.01)."""
+    or by the Langevin corrector ("one-step+ulmc", tau default 0.01).
+    A times or tau that the sampler does not read raises ValueError."""
+    if times is not None and sampler != "multistep":
+        raise ValueError(f"times is not read by the {sampler!r} sampler")
+    if tau is not None and not sampler.startswith("one-step+"):
+        raise ValueError(f"tau is not read by the {sampler!r} sampler")
     if times is not None and not all(delta <= t <= T for t in times):
         raise ValueError(f"times must lie in [delta, T] = [{delta}, {T}], "
                          f"got {times}")

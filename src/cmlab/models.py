@@ -38,9 +38,8 @@ over the exact score and not over a BLAS-multiplied one.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from concurrent.futures import Executor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -114,12 +113,9 @@ class _SineField:
         return np.sin(x @ self.omega.T + self.phase + self.tcoef * t)
 
 
-def exact_score_model(dist: MixtureParams, *,
-                      pool: Optional[Executor] = None) -> ScoreModel:
-    """The exact score of dist; given a pool, a single Gaussian's score
-    runs on two parts of a batch's rows at once (see `score`)."""
-    kw = {} if pool is None else {"pool": pool}
-    return ScoreModel(fn=lambda x, t: score(dist, t, x, **kw), dim=dist.dim)
+def exact_score_model(dist: MixtureParams) -> ScoreModel:
+    """The exact score of dist."""
+    return ScoreModel(fn=lambda x, t: score(dist, t, x), dim=dist.dim)
 
 
 def perturb_score(dist: MixtureParams, eps_target: float,
@@ -147,16 +143,15 @@ def exact_cm(dist: MixtureParams, delta: float) -> ConsistencyModel:
     return empirical_cm(exact_score_model(dist), delta)
 
 
-def discretized_cm(score_model: ScoreModel, grid: TimeGrid, *,
-                   pool: Optional[Executor] = None) -> ConsistencyModel:
+def discretized_cm(score_model: ScoreModel,
+                   grid: TimeGrid) -> ConsistencyModel:
     """Consistency map realised by marching the exponential integrator down
     the grid from t to delta.
 
     For t between grid points the first step goes to the largest grid point
     below t; a grid point within tol of t is skipped.  Zero per-interval
     consistency error at grid times by construction.  The pairs are walked
-    level by level, as the module docstring describes.  A pool is handed
-    to every step (see `flows.exp_integrator_step`).
+    level by level, as the module docstring describes.
     """
     delta = grid.delta
     tol = 1e-12 * max(1.0, grid.T)
@@ -170,8 +165,7 @@ def discretized_cm(score_model: ScoreModel, grid: TimeGrid, *,
             lo = max((p for p in inner if p < hi - tol), default=delta)
             stacked = xs[level[0]] if len(level) == 1 \
                 else np.concatenate([xs[i] for i in level])
-            out = exp_integrator_step(score_model, stacked, hi, lo,
-                                      pool=pool)
+            out = exp_integrator_step(score_model, stacked, hi, lo)
             stop = 0
             for i in level:
                 start, stop = stop, stop + xs[i].shape[0]

@@ -97,11 +97,6 @@ def _ulmc_increment_cov(gamma: float, tau: float) -> tuple[float, float, float]:
     return var_z, cov_zv, var_v
 
 
-def _fill_normal(rng: np.random.Generator, *bufs: np.ndarray) -> None:
-    for buf in bufs:
-        rng.standard_normal(out=buf)
-
-
 def ulmc_run(score_model: ScoreModel, batch: SampleBatch, gamma: float,
              tau: float, n_steps: int, seed: int, *, t: float) -> SampleBatch:
     """Underdamped Langevin corrector with frozen-score steps toward the
@@ -115,9 +110,10 @@ def ulmc_run(score_model: ScoreModel, batch: SampleBatch, gamma: float,
     per-coordinate Gaussian increment is sampled in closed form).  With
     gamma = 0 the update is the noiseless ballistic limit.
 
-    With gamma > 0, step k + 1's two normal fills run on a one-worker
-    pool while step k's score and mean update run, into the one of two
-    noise buffers that step k does not read.  The step's stream is
+    With gamma > 0, a one-worker pool fills step k + 1's (2, n, d) noise
+    slot, the one of two that step k does not read, while step k's score
+    and mean update run; one fill has the bits of the (n, d) draws eta1
+    and eta2 in turn.  The step's stream is
     derived in the calling thread, and the step writes into z, v and
     the score's array in the formula's operand order, so the result is
     bit for bit that of drawing and computing in line.  The rule that
@@ -149,13 +145,13 @@ def ulmc_run(score_model: ScoreModel, batch: SampleBatch, gamma: float,
         lvz = cov_zv / lz if lz > 0 else 0.0
         lvv = np.sqrt(max(var_v - lvz**2, 0.0))
         diff = np.empty_like(z)
-        noise = [(np.empty_like(z), np.empty_like(z)) for _ in range(2)]
+        noise = np.empty((2, 2, *z.shape))
         with ThreadPoolExecutor(1) as pool:
 
             def draw(k):
-                return pool.submit(_fill_normal,
-                                   derive_rng(seed, "ulmc-step", k),
-                                   *noise[k % 2])
+                return pool.submit(
+                    derive_rng(seed, "ulmc-step", k).standard_normal,
+                    out=noise[k % 2])
 
             pending = draw(0) if n_steps else None
             for k in range(n_steps):

@@ -125,9 +125,11 @@ def test_traced_eps_cm_sweep_marches_its_base_once():
 
 
 def test_traced_h_sweep_counts_every_march(monkeypatch):
-    # the march workload's sweep: the pool's worker computes half of each
-    # step's rows, and every traced call stays in the calling thread,
-    # where the tracer's span stack and counters are not shared
+    # the march workload's sweep: the split's worker computes half of
+    # each step's rows (here from 16 rows, as from 2**15 in the
+    # workload), and every traced call stays in the calling thread, where
+    # the tracer's span stack and counters are not shared
+    monkeypatch.setattr(distributions, "_SPLIT_ROWS", 16)
     n = 300
 
     def sweep():

@@ -1,12 +1,14 @@
+import os
+import signal
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
+from cmlab import distributions
 from cmlab.acceptance import DEFAULT_SEED
 from cmlab.distributions import (DegenerateDensityError, MixtureParams,
                                  SampleBatch, _pairwise_sum,
@@ -212,9 +214,9 @@ class TestClosedFormScore:
         x[rng.integers(n)] = marginal_at(dist, t).means[0]
         fast = score(dist, t, x)
         assert np.array_equal(bits(fast), bits(_mixture_score(dist, t, x)))
-        with ThreadPoolExecutor(1) as pool:
-            assert np.array_equal(bits(score(dist, t, x, pool=pool)),
-                                  bits(fast))
+        with pytest.MonkeyPatch.context() as mp:    # split from 16 rows
+            mp.setattr(distributions, "_SPLIT_ROWS", 16)
+            assert np.array_equal(bits(score(dist, t, x)), bits(fast))
         i = int(rng.integers(n))
         assert np.array_equal(bits(score(dist, t, x[i:i + 1])),
                               bits(fast[i:i + 1]))
@@ -238,22 +240,27 @@ class TestClosedFormScore:
 
     @pytest.mark.parametrize("bad", [None, 1e200, np.nan, np.inf])
     @pytest.mark.parametrize("row", [3, 30])
-    def test_split_rows_keep_the_bits(self, bad, row):
+    def test_split_rows_keep_the_bits(self, monkeypatch, bad, row):
         # 40 rows are cut at 16: a far or NaN row in either half sends the
         # whole batch to the general kernel, as it does unsplit
+        monkeypatch.setattr(distributions, "_SPLIT_ROWS", 16)
         dist = MixtureParams.gaussian([0.3, -1.0], [2.0, 0.5])
         x = derive_points(2, n=40)
         if bad is not None:
             x[row, 1] = bad
-        with ThreadPoolExecutor(1) as pool:
-            got = score(dist, 0.7, x, pool=pool)
+        got = score(dist, 0.7, x)
         assert np.array_equal(bits(got), bits(_mixture_score(dist, 0.7, x)))
         assert np.isnan(got).any() == (bad is not None)
 
 
 class TestSplitRows:
     """Rows cut at a multiple of 8 near the middle, the second part on
-    the pool's worker."""
+    the module's worker thread; the tests split from 16 rows, not from
+    _SPLIT_ROWS."""
+
+    @pytest.fixture(autouse=True)
+    def split_from_16_rows(self, monkeypatch):
+        monkeypatch.setattr(distributions, "_SPLIT_ROWS", 16)
 
     def test_cut(self):
         def rows(a, b):
@@ -261,16 +268,14 @@ class TestSplitRows:
             return a.shape[0], threading.get_ident()
 
         caller = threading.get_ident()
-        with ThreadPoolExecutor(1) as pool:
-            for n, want in [(0, [0]), (15, [15]), (16, [8, 8]),
-                            (37, [16, 21]), (50_000, [25_000, 25_000])]:
-                x = np.empty((n, 3))
-                got = split_rows(pool, rows, x, x[:, :1])
-                assert [r for r, _ in got] == want
-                assert got[0][1] == caller
-                if len(got) == 2:
-                    assert got[1][1] != caller
-        assert split_rows(None, rows, x, x) == [(50_000, caller)]
+        for n, want in [(0, [0]), (15, [15]), (16, [8, 8]),
+                        (37, [16, 21]), (50_000, [25_000, 25_000])]:
+            x = np.empty((n, 3))
+            got = split_rows(rows, x, x[:, :1])
+            assert [r for r, _ in got] == want
+            assert got[0][1] == caller
+            if len(got) == 2:
+                assert got[1][1] != caller
 
     def test_waits_for_the_worker_when_the_first_part_raises(self):
         done = []
@@ -282,21 +287,18 @@ class TestSplitRows:
             done.append(a.shape[0])
 
         x = np.repeat(np.arange(32.0)[:, None], 2, axis=1)
-        with ThreadPoolExecutor(1) as pool:
-            with pytest.raises(ValueError, match="first part"):
-                split_rows(pool, part, x)
-            assert done == [16]
+        with pytest.raises(ValueError, match="first part"):
+            split_rows(part, x)
+        assert done == [16]
 
     def test_the_worker_keeps_the_callers_errstate(self):
         x = np.ones((32, 2))
         x[20] = 1e308       # overflows in the worker's part
-        with ThreadPoolExecutor(1) as pool:
-            with np.errstate(over="raise"):
-                with pytest.raises(FloatingPointError):
-                    split_rows(pool, lambda a: a * 10.0, x)
-            with np.errstate(over="ignore"):
-                assert np.isinf(split_rows(pool, lambda a: a * 10.0,
-                                           x)[1][4]).all()
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                split_rows(lambda a: a * 10.0, x)
+        with np.errstate(over="ignore"):
+            assert np.isinf(split_rows(lambda a: a * 10.0, x)[1][4]).all()
 
     def test_a_worker_error_reaches_the_caller(self):
         def part(a):
@@ -304,9 +306,25 @@ class TestSplitRows:
                 raise MemoryError("second part")
 
         x = np.repeat(np.arange(32.0)[:, None], 2, axis=1)
-        with ThreadPoolExecutor(1) as pool:
-            with pytest.raises(MemoryError, match="second part"):
-                split_rows(pool, part, x)
+        with pytest.raises(MemoryError, match="second part"):
+            split_rows(part, x)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_splits(self):
+        # the child has no copy of the parent's worker thread: a task
+        # queued to the parent's executor would never run
+        x = np.ones((32, 2))
+        split_rows(np.sum, x)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(10)
+                code = 0 if len(split_rows(np.sum, x)) == 2 else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 def one_nan_bits(a):

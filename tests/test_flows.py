@@ -1,16 +1,18 @@
+import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cmlab import distributions, flows
 from cmlab.distributions import MixtureParams, marginal_at, sample, score
 from cmlab.flows import (StepUnderflowError, exp_integrator_step,
                          integrate_reference, pf_field)
 from cmlab.harness import fit_loglog
-from cmlab.models import (ScoreModel, empirical_cm, exact_cm,
-                          exact_score_model, perturb_score)
+from cmlab.models import (ScoreModel, discretized_cm, empirical_cm,
+                          exact_cm, exact_score_model, perturb_score)
+from cmlab.schedule import uniform_grid
 
 
 def wide_gaussian(d=1):
@@ -125,15 +127,14 @@ class TestExpIntegratorInPlace:
         else:
             sm = ScoreModel(fn=lambda y, t: s_fixed.copy(), dim=d)
         x_before = x.copy()
-        with np.errstate(all="ignore"), ThreadPoolExecutor(1) as pool:
+        with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
             expect = self.formula(sm, x, t_lo + dt, t_lo)
             got = exp_integrator_step(sm, x, t_lo + dt, t_lo)
             # the sum on two parts of the rows, and a K = 1 score too
-            pooled = exp_integrator_step(
-                exact_score_model(dist, pool=pool) if k == 1 else sm, x,
-                t_lo + dt, t_lo, pool=pool)
+            mp.setattr(distributions, "_SPLIT_ROWS", 16)
+            split = exp_integrator_step(sm, x, t_lo + dt, t_lo)
         assert np.array_equal(bits(got), bits(expect))
-        assert np.array_equal(bits(pooled), bits(expect))
+        assert np.array_equal(bits(split), bits(expect))
         assert np.array_equal(bits(x), bits(x_before))
 
     def test_one_step_holds_two_batches(self):
@@ -152,33 +153,63 @@ class TestExpIntegratorInPlace:
 
     @pytest.mark.parametrize("n", [16, 37, 61, 200])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_split_step_keeps_nan_signs(self, n, d):
+    def test_split_step_keeps_nan_signs(self, monkeypatch, n, d):
         # where NaNs of both signs meet, numpy keeps one operand's inside
         # whole SIMD vectors and the other's in a loop's scalar remainder;
         # a cut at a multiple of 8 rows leaves the remainder where it was
+        monkeypatch.setattr(distributions, "_SPLIT_ROWS", 16)
         rng = np.random.default_rng(100 * n + d)
         x = rng.normal(size=(n, d))
         s_fixed = rng.normal(size=(n, d))
         x[rng.uniform(size=(n, d)) < 0.4] = np.nan
         s_fixed[rng.uniform(size=(n, d)) < 0.4] = -np.nan
         sm = ScoreModel(fn=lambda y, t: s_fixed.copy(), dim=d)
-        with np.errstate(invalid="ignore"), ThreadPoolExecutor(1) as pool:
+        with np.errstate(invalid="ignore"):
             expect = self.formula(sm, x, 0.6, 0.5)
-            got = exp_integrator_step(sm, x, 0.6, 0.5, pool=pool)
+            got = exp_integrator_step(sm, x, 0.6, 0.5)
         assert np.array_equal(bits(got), bits(expect))
 
     def test_split_step_holds_two_batches(self):
+        # 50,000 rows split (test_large_steps_split)
         x = np.random.default_rng(7).normal(size=(50_000, 2))
-        with ThreadPoolExecutor(1) as pool:
-            sm = exact_score_model(wide_gaussian(2), pool=pool)
-            exp_integrator_step(sm, x, 1.0, 0.9, pool=pool)
-            tracemalloc.start()
-            try:
-                exp_integrator_step(sm, x, 1.0, 0.9, pool=pool)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        sm = exact_score_model(wide_gaussian(2))
+        exp_integrator_step(sm, x, 1.0, 0.9)
+        tracemalloc.start()
+        try:
+            exp_integrator_step(sm, x, 1.0, 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak <= 2.5 * x.nbytes
+
+    @pytest.mark.parametrize("pieces, parts", [
+        ([50_000], [25_000, 25_000]), ([16_200, 16_200], [32_400])],
+        ids=["march-step", "stacked-measure-step"])
+    def test_large_steps_split(self, monkeypatch, pieces, parts):
+        # criterion 1 marches 50,000 rows a step; criterion 3 stacks its
+        # pairs into steps of up to 32,400 rows, which run in line
+        seen = {"score": [], "sum": []}
+        score_rows = distributions._gaussian_score_rows
+        split = flows.split_rows
+
+        def record(kernel, fn):
+            return lambda *a: (seen[kernel].append(
+                (a[0].shape[0], threading.get_ident())), fn(*a))[1]
+
+        monkeypatch.setattr(distributions, "_gaussian_score_rows",
+                            record("score", score_rows))
+        monkeypatch.setattr(flows, "split_rows",
+                            lambda fn, *a: split(record("sum", fn), *a))
+        cm = discretized_cm(exact_score_model(wide_gaussian(2)),
+                            uniform_grid(0.4, 0.6, 1.0))
+        rng = np.random.default_rng(3)
+        cm.many([(rng.normal(size=(n, 2)), 1.0) for n in pieces])
+        caller = threading.get_ident()
+        for kernel in ("score", "sum"):
+            got = seen[kernel]
+            assert sorted(r for r, _ in got) == parts
+            assert [r for r, ident in got if ident == caller] == parts[:1]
+            assert len({ident for _, ident in got}) == len(parts)
 
 
 class TestReferenceIntegrator:

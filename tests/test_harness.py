@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmlab import cli, harness, models
+from cmlab import cli, distributions, harness, models
 from cmlab.cli import main
 from cmlab.harness import (ConfigError, emit, fit_loglog, h_sweep_one_step,
                            ou_tv_bound_check, read_config, render_csv,
@@ -130,11 +130,9 @@ class TestRunExperiment:
         ids=["h-sweep", "eps-cm-sweep"])
     def test_closed_form_score_leaves_report_bytes(self, monkeypatch, core):
         # the one-component closed form in `score` against the general
-        # kernel it replaces on these single-Gaussian sweeps; the h-sweep
-        # hands its score a pool, which the general kernel does not use
+        # kernel it replaces on these single-Gaussian sweeps
         fast = render_json(core(n=2000))
-        monkeypatch.setattr(models, "score", lambda dist, t, x, pool=None:
-                            _mixture_score(dist, t, x))
+        monkeypatch.setattr(models, "score", _mixture_score)
         assert render_json(core(n=2000)) == fast
 
     def test_crn_floor_is_h_independent_limit(self):
@@ -147,9 +145,14 @@ class TestRunExperiment:
 
 
 class TestHSweepPool:
-    """The h-sweep draws its input once and splits each step's rows with
-    a one-worker pool; its report is that of the serial loop of one_step
-    marches, and the pool is gone when it returns."""
+    """The h-sweep draws its input once and its steps split their rows
+    (`distributions.split_rows`, here from 16 rows); its report is that
+    of the serial loop of one_step marches, and the split's one worker
+    thread is kept across sweeps."""
+
+    @pytest.fixture(autouse=True)
+    def split_from_16_rows(self, monkeypatch):
+        monkeypatch.setattr(distributions, "_SPLIT_ROWS", 16)
 
     @staticmethod
     def serial(dist, delta, T, h_list, floor_h, n, seed):
@@ -177,18 +180,22 @@ class TestHSweepPool:
         dist = MixtureParams.gaussian([1.0, -0.5], [4.0, 0.25])
         args = (dist, 0.01, 2.0, [0.2, 0.1, 0.05, 0.025], 0.0125, 3000,
                 seed)
-        before = threading.active_count()
-        got = render_json(h_sweep_one_step(*args))
-        assert threading.active_count() == before
-        assert got == render_json(self.serial(*args))
+        assert render_json(h_sweep_one_step(*args)) == render_json(
+            self.serial(*args))
 
-    def test_pool_is_joined_when_a_march_raises(self, monkeypatch):
-        # the score fails at its 20th call, mid-march, after the pool's
-        # worker has taken rows of the earlier steps
+    def test_a_second_sweep_starts_no_thread(self):
+        h_sweep_one_step(n=200)
+        after_one = threading.active_count()
+        h_sweep_one_step(n=200)
+        assert threading.active_count() == after_one
+
+    def test_the_split_runs_after_a_march_raises(self, monkeypatch):
+        # the score fails at its 20th call, mid-march, after the worker
+        # has taken rows of the earlier steps
         calls = []
 
-        def failing(dist, **kw):
-            exact = exact_score_model(dist, **kw)
+        def failing(dist):
+            exact = exact_score_model(dist)
 
             def fn(x, t):
                 calls.append(t)
@@ -199,10 +206,11 @@ class TestHSweepPool:
             return models.ScoreModel(fn=fn, dim=exact.dim)
 
         monkeypatch.setattr(harness, "exact_score_model", failing)
-        before = threading.active_count()
         with pytest.raises(RuntimeError, match="march failed"):
             h_sweep_one_step(n=200)
-        assert threading.active_count() == before
+        parts = distributions.split_rows(
+            lambda a: threading.get_ident(), np.empty((32, 2)))
+        assert len(set(parts)) == 2
 
 
 class TestEpsCmSweep:
@@ -479,6 +487,13 @@ class TestCliRejects:
          "config rejected by sample: times must lie in [delta, T]"),
         ("sample", {"sampler": "multistep", "h": 0.1, "times": [5.0, 1.0]},
          "config rejected by sample: times must lie in [delta, T]"),
+        ("sample", {"sampler": "one-step", "times": [2.0, 1.0], "tau": 0.3,
+                    "n": 3},
+         "config rejected by sample: times is not read by the 'one-step' "
+         "sampler"),
+        ("sample", {"sampler": "multistep", "tau": 0.3, "n": 3},
+         "config rejected by sample: tau is not read by the 'multistep' "
+         "sampler"),
         ("sweep", {"kind": "ou-tv", "m_list": [1e300], "tau_list": [1e-300]},
          "config rejected by ou-tv: m=1e+300, tau=1e-300: "),
         ("sweep", {"kind": "ou-tv", "m_list": [1e154], "tau_list": [1e-310]},
@@ -520,7 +535,8 @@ class TestCliRejects:
          "config rejected by h-sweep: Unable to allocate 1.46 TiB"),
     ], ids=["n-text", "n-one", "sample-foreign-keys", "hessian-foreign-key",
             "weights-object", "n-bool", "seed-float", "sampler", "grid-null",
-            "times-beyond-T", "times-beyond-T-grid", "ou-tv-square-overflow",
+            "times-beyond-T", "times-beyond-T-grid", "times-unread",
+            "tau-unread", "ou-tv-square-overflow",
             "ou-tv-bound-overflow", "ulmc-tv-overflow",
             "reference-field-overflow", "point-mass-tiny-t",
             "gradcheck-step-overflow", "sweep-gradcheck-step-overflow",

@@ -98,3 +98,44 @@ def test_distributions_imports_nothing_from_scipy():
                          env={**os.environ,
                               "PYTHONPATH": str(SRC.parent)}).stdout
     assert out.strip() == "[]"
+
+
+def pool_owners(source: str) -> bool:
+    """Whether the module imports `concurrent.futures`."""
+    return any(
+        (isinstance(node, ast.ImportFrom) and node.module is not None
+         and node.module.startswith("concurrent"))
+        or (isinstance(node, ast.Import)
+            and any(a.name.startswith("concurrent") for a in node.names))
+        for node in ast.walk(ast.parse(source)))
+
+
+def pool_parameters(source: str) -> list[str]:
+    """Public functions and methods that take a parameter named pool."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")
+            and "pool" in {a.arg for a in (*node.args.posonlyargs,
+                                           *node.args.args,
+                                           *node.args.kwonlyargs)}]
+
+
+def test_one_owner_per_thread_pool():
+    # distributions owns the row split's worker and samplers the Langevin
+    # corrector's prefetch pool; no caller hands a pool down
+    modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert sorted(name for name, source in modules.items()
+                  if pool_owners(source)) == ["distributions", "samplers"]
+    assert {name: pool_parameters(source)
+            for name, source in modules.items()
+            if pool_parameters(source)} == {}
+
+
+def test_a_pool_import_and_parameter_are_found():
+    source = ("import concurrent.futures\n"
+              "def score(x, *, pool=None): pass\n"
+              "def _split(pool): pass\n")
+    assert pool_owners(source)
+    assert pool_owners("from concurrent.futures import Executor\n")
+    assert not pool_owners("import contextvars\n")
+    assert pool_parameters(source) == ["score"]
