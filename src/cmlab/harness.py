@@ -339,18 +339,23 @@ def sample_experiment(distribution: MixtureParams = _GAUSS_4I,
                       n: int = 1000, delta: float = 0.01, T: float = 2.0,
                       h: Optional[float] = None,
                       times: Optional[Sequence[float]] = None,
-                      tau: Optional[float] = None, gamma: float = 1.0,
-                      n_steps: int = 100, seed: int = 0) -> dict:
+                      tau: Optional[float] = None,
+                      gamma: Optional[float] = None,
+                      n_steps: Optional[int] = None, seed: int = 0) -> dict:
     """Points drawn by one sampler from the exact consistency map, or from
     the grid-discretized one when h is given: "one-step", "multistep" on
     the schedule `times` (default [T, 1, 1, 1], each entry in [delta, T]),
     or one-step followed by OU smoothing ("one-step+ou", tau default 0.05)
-    or by the Langevin corrector ("one-step+ulmc", tau default 0.01).
-    A times or tau that the sampler does not read raises ValueError."""
-    if times is not None and sampler != "multistep":
-        raise ValueError(f"times is not read by the {sampler!r} sampler")
-    if tau is not None and not sampler.startswith("one-step+"):
-        raise ValueError(f"tau is not read by the {sampler!r} sampler")
+    or by the Langevin corrector ("one-step+ulmc", tau default 0.01,
+    gamma 1.0, n_steps 100).  A times, tau, gamma or n_steps that the
+    sampler does not read raises ValueError."""
+    for name, value, readers in (
+            ("times", times, ("multistep",)),
+            ("tau", tau, ("one-step+ou", "one-step+ulmc")),
+            ("gamma", gamma, ("one-step+ulmc",)),
+            ("n_steps", n_steps, ("one-step+ulmc",))):
+        if value is not None and sampler not in readers:
+            raise ValueError(f"{name} is not read by the {sampler!r} sampler")
     if times is not None and not all(delta <= t <= T for t in times):
         raise ValueError(f"times must lie in [delta, T] = [{delta}, {T}], "
                          f"got {times}")
@@ -366,9 +371,10 @@ def sample_experiment(distribution: MixtureParams = _GAUSS_4I,
         batch = ou_smooth(one_step(cm, T, n, seed),
                           0.05 if tau is None else tau, seed)
     elif sampler == "one-step+ulmc":
-        batch = ulmc_run(score_model, one_step(cm, T, n, seed), gamma,
-                         0.01 if tau is None else tau, n_steps, seed,
-                         t=delta)
+        batch = ulmc_run(score_model, one_step(cm, T, n, seed),
+                         1.0 if gamma is None else gamma,
+                         0.01 if tau is None else tau,
+                         100 if n_steps is None else n_steps, seed, t=delta)
     else:
         raise ValueError(f"unknown sampler kind {sampler!r}")
     return {"rows": [{f"x{j}": float(v) for j, v in enumerate(pt)}

@@ -5,6 +5,10 @@ other shape is rejected.  Each estimator returns a MetricReport holding
 its value.  The fitted W2 is the Bures distance between Gaussians fitted
 to the batches; the TV between 1-d Gaussians is a closed form from normal
 CDF differences, exact to rounding.
+
+The TV's erf is scipy.special.erf, which scipy imports on its first
+call: the W2 estimators need numpy alone, and a process that takes no
+TV does not load scipy.special.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
+import scipy
 
 from .distributions import MixtureParams, SampleBatch
 from .rng import derive_rng
@@ -140,8 +144,8 @@ def tv_gaussian_1d(m1: float, s1: float, m2: float, s2: float) -> MetricReport:
     r = np.array([-np.inf, *_gaussian_crossings(m1, s1, m2, s2), np.inf])
     # F1 - F2 as a difference of erfs, which keeps full relative precision
     # near the centre: F(r) = (1 + erf((r - m) / (s sqrt 2))) / 2
-    d = 0.5 * (erf((r - m1) / (s1 * np.sqrt(2.0)))
-               - erf((r - m2) / (s2 * np.sqrt(2.0))))
+    d = 0.5 * (scipy.special.erf((r - m1) / (s1 * np.sqrt(2.0)))
+               - scipy.special.erf((r - m2) / (s2 * np.sqrt(2.0))))
     tv = 0.5 * np.sum(np.abs(np.diff(d)))
     return MetricReport(float(tv))
 

@@ -7,6 +7,10 @@ multistep sampling, so the two share their first batch by construction.
 Re-noising and smoothing both apply `distributions.ou_forward`.  The
 Langevin corrector takes the diffusion time t of the law it corrects
 toward as an argument: a batch carries points only, not a time.
+
+The Langevin mean's closed form takes scipy.linalg.expm, which scipy
+imports on its first call, so samplers that never ask for it do not
+load scipy.linalg.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.linalg import expm
+import scipy
 
 from .distributions import SampleBatch, ou_forward
 from .models import ConsistencyModel, ScoreModel
@@ -189,5 +193,6 @@ def ulmc_mean_contraction(gamma: float, t: float) -> float:
     """
     if gamma < 0 or t < 0:
         raise ValueError("need gamma >= 0 and t >= 0")
-    return float(expm(np.array([[0.0, 1.0], [-1.0, -gamma]]) * t)[0, 0])
+    a = np.array([[0.0, 1.0], [-1.0, -gamma]]) * t
+    return float(scipy.linalg.expm(a)[0, 0])
 

@@ -341,6 +341,20 @@ class TestCli:
         assert lines[0] == "x0,x1"
         assert len(lines) == 21
 
+    def test_ulmc_defaults_give_the_same_points(self, tmp_path, capsys):
+        # a null gamma and n_steps are 1.0 and 100 inside the ulmc branch
+        cfg = tmp_path / "cfg.json"
+        out = []
+        for extra in ({}, {"gamma": 1.0, "n_steps": 100}):
+            cfg.write_text(json.dumps({"sampler": "one-step+ulmc", "n": 5,
+                                       **extra}))
+            assert main(["sample", "--config", str(cfg), "--seed", "3"]) == 0
+            out.append(capsys.readouterr().out)
+        given = out[1].replace('"gamma":1.0,', "").replace(
+            ',"n_steps":100', "")
+        assert given != out[1]
+        assert given == out[0]
+
     def test_sweep_runs_config(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({"kind": "ou-tv"}))
@@ -424,7 +438,7 @@ def _fits(value, annotation: str) -> bool:
     """The contract a checked value meets, read from the core's annotation."""
     if value is None:
         return annotation.startswith("Optional")
-    if annotation == "int":
+    if annotation in ("int", "Optional[int]"):
         return type(value) is int and 0 <= value < 2**64
     if "Sequence" in annotation:
         return isinstance(value, list) and len(value) > 0 \
@@ -494,6 +508,12 @@ class TestCliRejects:
         ("sample", {"sampler": "multistep", "tau": 0.3, "n": 3},
          "config rejected by sample: tau is not read by the 'multistep' "
          "sampler"),
+        ("sample", {"sampler": "one-step", "gamma": 5, "n_steps": 7, "n": 2},
+         "config rejected by sample: gamma is not read by the 'one-step' "
+         "sampler"),
+        ("sample", {"sampler": "one-step+ou", "n_steps": 7, "n": 2},
+         "config rejected by sample: n_steps is not read by the "
+         "'one-step+ou' sampler"),
         ("sweep", {"kind": "ou-tv", "m_list": [1e300], "tau_list": [1e-300]},
          "config rejected by ou-tv: m=1e+300, tau=1e-300: "),
         ("sweep", {"kind": "ou-tv", "m_list": [1e154], "tau_list": [1e-310]},
@@ -536,7 +556,8 @@ class TestCliRejects:
     ], ids=["n-text", "n-one", "sample-foreign-keys", "hessian-foreign-key",
             "weights-object", "n-bool", "seed-float", "sampler", "grid-null",
             "times-beyond-T", "times-beyond-T-grid", "times-unread",
-            "tau-unread", "ou-tv-square-overflow",
+            "tau-unread", "gamma-unread", "n-steps-unread",
+            "ou-tv-square-overflow",
             "ou-tv-bound-overflow", "ulmc-tv-overflow",
             "reference-field-overflow", "point-mass-tiny-t",
             "gradcheck-step-overflow", "sweep-gradcheck-step-overflow",

@@ -1,5 +1,6 @@
-"""Every name a `cmlab` module imports is used in it or re-exported, and
-every import is at module level.
+"""Every name a `cmlab` module imports is used in it or re-exported,
+every import is at module level, and no module imports a scipy
+subpackage at import time.
 
 Stand-ins for a linter's unused-import and import-position rules: they
 parse each module with `ast`, so they need nothing beyond the standard
@@ -73,6 +74,65 @@ def test_a_nested_import_is_found():
               "def f():\n    from .rng import derive_rng\n    return 1\n"
               "if json:\n    import os\n")
     assert nested_imports(source) == ["line 3", "line 6"]
+
+
+def scipy_submodule_imports(source: str) -> list[str]:
+    """Import statements that load a scipy subpackage when the module is
+    imported: `import scipy.<sub>`, `from scipy.<sub> import ...` and
+    `from scipy import <sub>`.  `import scipy` alone loads none, and scipy
+    imports `scipy.<sub>` on its first attribute access."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}."]
+        else:
+            continue
+        if any(name.startswith("scipy.") for name in names):
+            lines.add(node.lineno)
+    return [f"line {n}" for n in sorted(lines)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_scipy_subpackages_load_on_first_use(path):
+    # integrate, special and linalg are slow and large to import, and
+    # criteria 1-4, 7 and 9 call none of them
+    assert scipy_submodule_imports(path.read_text()) == []
+
+
+def test_an_eager_scipy_import_is_found():
+    source = ("import scipy\nimport numpy.linalg\n"
+              "from scipy.special import erf\n"
+              "def f():\n    import scipy.linalg as la\n    return la\n"
+              "from scipy import integrate\nfrom .scipy import x\n")
+    assert scipy_submodule_imports(source) == ["line 3", "line 5", "line 7"]
+
+
+def test_fast_criteria_and_grid_load_no_scipy_subpackage():
+    # criterion 1's sweep and `cmlab grid` after importing every module;
+    # then the exact map's reference solve, which loads scipy.integrate
+    code = (
+        "import contextlib, importlib, io, pkgutil, sys, cmlab\n"
+        "import numpy as np\n"
+        "for m in pkgutil.iter_modules(cmlab.__path__):\n"
+        "    importlib.import_module('cmlab.' + m.name)\n"
+        "from cmlab import cli, distributions, harness, models\n"
+        "harness.h_sweep_one_step(n=200, seed=7)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['grid']) == 0\n"
+        "subs = ['scipy.integrate', 'scipy.special', 'scipy.linalg',\n"
+        "        'scipy.optimize']\n"
+        "print([k for k in subs if k in sys.modules])\n"
+        "dist = distributions.MixtureParams.gaussian([0.0], [4.0])\n"
+        "models.exact_cm(dist, 0.01)(np.zeros((2, 1)), 1.0)\n"
+        "print('scipy.integrate' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ,
+                              "PYTHONPATH": str(SRC.parent)}).stdout
+    assert out.splitlines() == ["[]", "True"]
 
 
 def test_no_module_imports_scipy_stats():
