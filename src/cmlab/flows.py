@@ -10,16 +10,17 @@ integrator, whose flow of a score's field is the consistency map of
 
 Every x is an (n, d) batch, and so is every field's and step's value.
 
-The reference integrator is scipy.integrate's RK45, which scipy imports
-on the first solve (see `solve_ivp`): scipy.integrate brings special,
-linalg and optimize with it, most of a process's start-up time and
-memory, and the criteria that only march the exponential integrator
-never solve an ODE.
+The reference integrator is scipy.integrate's RK45 stepper, driven here
+(see `solve_ivp`) so that a solve keeps its end state alone, not every
+step's state as scipy's own solve_ivp does.  scipy imports
+scipy.integrate on the first solve: it brings special, linalg and
+optimize with it, most of a process's start-up time and memory, and the
+criteria that only march the exponential integrator never solve an ODE.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -31,14 +32,43 @@ DEFAULT_TOL = 1e-10
 Field = Callable[[np.ndarray, float], np.ndarray]
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp(*args, **kwargs), the solver of
-    `integrate_reference`; scipy imports scipy.integrate on the first
-    call.  The benchmark's tracer (`perfbench/tracer.py`) wraps this
-    module-level binding to count solves and field evaluations, and the
-    ROADMAP's plan to drive RK45's stepper directly keeps it, so the
-    name stays here."""
-    return scipy.integrate.solve_ivp(*args, **kwargs)
+class Solution(NamedTuple):
+    """What `solve_ivp` returns: the end state y, the start time and each
+    accepted step's end time t, the field evaluations nfev, status 0 (end
+    reached) or -1 (a step failed) and the failed step's message."""
+
+    y: np.ndarray
+    t: list[float]
+    nfev: int
+    status: int
+    message: str | None
+
+
+def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> Solution:
+    """RK45 from t_span[0] to t_span[1], stepped as
+    scipy.integrate.solve_ivp(fun, t_span, y0, method="RK45", rtol=rtol,
+    atol=atol) steps it, to the same end state bit for bit, but keeping
+    only that end state: scipy's solve_ivp keeps every accepted step's
+    full state and stacks the copies at the end.
+
+    The benchmark's tracer (`perfbench/tracer.py`) wraps this
+    module-level binding to count solves, field evaluations (`nfev`) and
+    steps (`len(t) - 1`), so the name stays here."""
+    t0, t_bound = map(float, t_span)
+    solver = scipy.integrate.RK45(fun, t0, y0, t_bound, rtol=rtol,
+                                  atol=atol)
+    t = [t0]
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status != "failed":
+            t.append(solver.t)
+    out = Solution(solver.y, t, solver.nfev,
+                   0 if solver.status == "finished" else -1, message)
+    # the solver's fun closures refer back to it, a reference cycle that
+    # would keep its stage matrix and states alive until the cyclic GC
+    # next runs, which varies from run to run
+    vars(solver).clear()
+    return out
 
 
 class StepUnderflowError(RuntimeError):
@@ -73,9 +103,13 @@ def exp_integrator_step(score_model, x, t_hi: float,
     out = np.empty(np.shape(s))
 
     def combine(xs, ss, outs):
-        np.multiply(growth, xs, out=outs)
-        np.multiply(growth - 1.0, ss, out=ss)
-        np.add(outs, ss, out=outs)
+        np.multiply(growth - 1.0, ss, out=outs)
+        np.multiply(growth, xs, out=ss)
+        # the sum into its second operand: numpy runs an add whose out is
+        # its first operand as a reduction when the array has one entry,
+        # and that keeps the other operand's NaN where the formula's sum
+        # keeps the first's
+        np.add(ss, outs, out=outs)
 
     split_rows(combine, np.asarray(x), s, out)
     return out
@@ -104,11 +138,10 @@ def integrate_reference(field: Field, x, t_from: float, t_to: float,
             raise FloatingPointError(f"non-finite field value at t = {t}")
         return v
 
-    sol = solve_ivp(rhs, (t_from, t_to), x.ravel(), method="RK45",
-                    rtol=tol, atol=tol)
-    if not sol.success:
+    sol = solve_ivp(rhs, (t_from, t_to), x.ravel(), tol, tol)
+    if sol.status != 0:
         raise StepUnderflowError(
             f"reference integration failed on [{t_to}, {t_from}]: "
             f"{sol.message}")
-    return sol.y[:, -1].reshape(shape)
+    return sol.y.reshape(shape)
 

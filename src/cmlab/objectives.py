@@ -54,7 +54,12 @@ class ParametricCM:
         return self.freqs.shape[1]
 
     def features(self, x: np.ndarray, t: float) -> np.ndarray:
-        return np.sin(x @ self.freqs.T + self.phases + self.tcoefs * t)
+        """sin(x F^T + phases + tcoefs t), the operations of that
+        expression in its order, bit for bit, in one (n, m) buffer."""
+        z = x @ self.freqs.T
+        z += self.phases
+        z += self.tcoefs * t
+        return np.sin(z, out=z)
 
     def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
         return x + (t - self.delta) * (self.features(x, t) @ self.theta.T)

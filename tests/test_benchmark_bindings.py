@@ -178,6 +178,20 @@ def test_traced_ulmc_derives_every_stream_in_the_calling_thread(
     assert threads == [threading.get_ident()] * (1 + n_steps)
 
 
+def _scipy_solve_counts(dist, x, t_from: float, delta: float) -> dict:
+    """nfev and accepted steps of scipy.integrate.solve_ivp on the exact
+    map's solve of x from t_from to delta, the counts the tracer reads
+    from flows.solve_ivp."""
+    import scipy.integrate
+
+    field = flows.pf_field(models.exact_score_model(dist))
+    sol = scipy.integrate.solve_ivp(
+        lambda t, y: field(y.reshape(x.shape), t).ravel(), (t_from, delta),
+        x.ravel(), method="RK45", rtol=flows.DEFAULT_TOL,
+        atol=flows.DEFAULT_TOL)
+    return {"nfev": sol.nfev, "steps": len(sol.t) - 1}
+
+
 def _counted_calls() -> dict:
     """layer -> (one call on a 7-row input, check of the layer's counts
     and the call's output)."""
@@ -197,7 +211,8 @@ def _counted_calls() -> dict:
             lambda s, out: s["points"] == 7),
         "flows.solve_ivp": (
             lambda: models.exact_cm(dist, 0.01)(x, 1.0),
-            lambda s, out: s["nfev"] > 0 and s["steps"] > 0),
+            lambda s, out: {k: s[k] for k in ("nfev", "steps")}
+            == _scipy_solve_counts(dist, x, 1.0, 0.01)),
         "samplers.ulmc_run": (
             lambda: samplers.ulmc_run(sm, SampleBatch(points=x), 1.0, 0.01,
                                       3, 0, t=0.01).points,

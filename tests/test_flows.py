@@ -1,3 +1,4 @@
+import gc
 import threading
 import tracemalloc
 
@@ -94,7 +95,7 @@ def bits(a):
 
 
 class TestExpIntegratorInPlace:
-    """The step writes its sum into the score's array; it must give the
+    """The step uses the score's array as scratch space; it must give the
     bits of the formula written out and leave x as it was."""
 
     @staticmethod
@@ -164,6 +165,19 @@ class TestExpIntegratorInPlace:
         x[rng.uniform(size=(n, d)) < 0.4] = np.nan
         s_fixed[rng.uniform(size=(n, d)) < 0.4] = -np.nan
         sm = ScoreModel(fn=lambda y, t: s_fixed.copy(), dim=d)
+        with np.errstate(invalid="ignore"):
+            expect = self.formula(sm, x, 0.6, 0.5)
+            got = exp_integrator_step(sm, x, 0.6, 0.5)
+        assert np.array_equal(bits(got), bits(expect))
+
+    @pytest.mark.parametrize("x_nan, s_nan", [(-np.nan, np.nan),
+                                              (np.nan, -np.nan)])
+    def test_one_entry_keeps_the_formulas_nan(self, x_nan, s_nan):
+        # numpy runs a one-entry add whose out is its first operand as a
+        # reduction, which keeps the other operand's NaN
+        s_fixed = np.array([[s_nan]])
+        sm = ScoreModel(fn=lambda y, t: s_fixed.copy(), dim=1)
+        x = np.array([[x_nan]])
         with np.errstate(invalid="ignore"):
             expect = self.formula(sm, x, 0.6, 0.5)
             got = exp_integrator_step(sm, x, 0.6, 0.5)
@@ -260,6 +274,68 @@ class TestReferenceIntegrator:
                       <= 5 * np.sqrt(mt.variances[0] / n))
         assert np.all(np.abs(out.var(axis=0) - mt.variances[0])
                       <= 5 * mt.variances[0] * np.sqrt(2.0 / n))
+
+
+def ring():
+    # the benchmark's oracle ring: 8 components on a circle of radius 3
+    angles = 2 * np.pi * np.arange(8) / 8
+    means = 3.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return MixtureParams(np.full(8, 1.0 / 8), means, np.full((8, 2), 0.1))
+
+
+class TestStepper:
+    """flows.solve_ivp drives scipy's RK45 stepper itself; it must take
+    the steps scipy.integrate.solve_ivp takes, to the same end state."""
+
+    @pytest.mark.parametrize("dist, n, t_from", [
+        (MixtureParams.standard_normal(2), 2000, 2.0),
+        (ring(), 500, 1.0),
+        (wide_gaussian(), 300, 1.0)],
+        ids=["stationary", "ring", "1d-wide"])
+    def test_matches_scipy_solve_ivp(self, dist, n, t_from):
+        import scipy.integrate
+
+        x = sample(marginal_at(dist, t_from), n, 11).points
+        field = exact_field(dist)
+        shape = x.shape
+
+        def rhs(t, y):
+            return field(y.reshape(shape), t).ravel()
+
+        tol = flows.DEFAULT_TOL
+        expect = scipy.integrate.solve_ivp(rhs, (t_from, 0.01), x.ravel(),
+                                           method="RK45", rtol=tol,
+                                           atol=tol)
+        got = flows.solve_ivp(rhs, (t_from, 0.01), x.ravel(), tol, tol)
+        assert expect.status == got.status == 0
+        assert np.array_equal(bits(got.y), bits(expect.y[:, -1]))
+        assert got.nfev == expect.nfev
+        assert got.t == expect.t.tolist()
+        assert np.array_equal(
+            bits(integrate_reference(field, x, t_from, 0.01)),
+            bits(expect.y[:, -1].reshape(shape)))
+
+    def test_exact_map_keeps_only_its_output(self):
+        # with the cyclic GC off, neither the steps' states nor the
+        # solver (a reference cycle holding its stage matrix) may outlive
+        # the solve
+        dist = MixtureParams.standard_normal(2)
+        x = np.random.default_rng(5).normal(size=(20_000, 2))
+        cm = exact_cm(dist, 0.01)
+        cm(x[:10], 2.0)              # scipy.integrate loaded and warm
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = cm(x, 2.0)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert kept <= out.nbytes + 4096
+        # the image's memory is one buffer of its own size
+        owner = out if out.base is None else out.base
+        assert owner.base is None and owner.nbytes == out.nbytes
 
 
 class TestConsistencyMaps:

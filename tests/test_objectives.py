@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -38,6 +40,31 @@ class TestParametricCM:
         pcm = ParametricCM.create(1, 8, 2, 0.01)
         x = np.random.default_rng(1).normal(size=(20, 1))
         assert np.allclose(pcm(x, 0.9), x)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_features_equal_the_expression(self, dim):
+        pcm = ParametricCM.create(dim, 32, 3, 0.01)
+        x = np.random.default_rng(dim).normal(size=(3000, dim))
+        for t in (0.5, 0.55, 2.0):
+            expect = np.sin(x @ pcm.freqs.T + pcm.phases + pcm.tcoefs * t)
+            got = pcm.features(x, t)
+            assert np.array_equal(got.view(np.uint64),
+                                  expect.view(np.uint64))
+
+    def test_features_hold_one_buffer(self):
+        # the expression written out held three (n, m) temporaries at once
+        pcm = ParametricCM.create(2, 32, 3, 0.01)
+        x = np.random.default_rng(4).normal(size=(20_000, 2))
+        pcm.features(x, 0.5)
+        gc.disable()
+        tracemalloc.start()
+        try:
+            pcm.features(x, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert peak <= 1.1 * x.shape[0] * 32 * 8
 
 
 class TestCdLoss:
